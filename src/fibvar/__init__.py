@@ -1,20 +1,16 @@
 """Fibonacci partition counts, their second moment, and exact variance asymptotics."""
 
-from .analysis import AsymptoticConstants, FigureRow, exponent_report, figure_rows, write_figure_csv
+from .analysis import AsymptoticConstants, exponent_report, write_figure_csv
 from .casework import (
     CaseBreakdown,
     CaseReport,
-    SubsetPair,
     case_breakdown,
     count_window,
     verify_cases,
     w_bruteforce,
-    window_solutions,
 )
 from .closed_form import (
     ClosedFormSolution,
-    RecurrenceSpec,
-    VARIANCE_RECURRENCE,
     asymptotic_constant,
     build_trace_system,
     closed_form_v,
@@ -26,18 +22,17 @@ from .errors import BudgetError
 from .exact import (
     CubicElement,
     IsolatedRoot,
-    Rational,
     SingularMatrixError,
-    cubic_inv,
-    cubic_mul,
     isolate_real_roots,
     power_trace,
     solve_linear_system,
 )
-from .fibonacci import FibTable, ZeckendorfRepr, distinct_fib_upto, fib, fib_table, zeckendorf
+from .fibonacci import ZeckendorfRepr, distinct_fib_upto, fib, zeckendorf
 from .moments import (
+    VARIANCE_RECURRENCE,
     FibMomentSeries,
     MomentTable,
+    RecurrenceSpec,
     fib_moment_series,
     moment_table,
     moments_from_counts,
@@ -58,14 +53,10 @@ __all__ = [
     "CountTable",
     "CubicElement",
     "FibMomentSeries",
-    "FibTable",
-    "FigureRow",
     "IsolatedRoot",
     "MomentTable",
-    "Rational",
     "RecurrenceSpec",
     "SingularMatrixError",
-    "SubsetPair",
     "VARIANCE_RECURRENCE",
     "ZeckendorfRepr",
     "asymptotic_constant",
@@ -75,15 +66,11 @@ __all__ = [
     "check_sqrt_bound",
     "closed_form_v",
     "count_window",
-    "cubic_inv",
-    "cubic_mul",
     "distinct_fib_upto",
     "embed_coefficients",
     "exponent_report",
     "fib",
     "fib_moment_series",
-    "fib_table",
-    "figure_rows",
     "isolate_real_roots",
     "moment_table",
     "moments_from_counts",
@@ -98,7 +85,6 @@ __all__ = [
     "verify_lemma",
     "w_bruteforce",
     "w_closed_form",
-    "window_solutions",
     "write_figure_csv",
     "zeckendorf",
 ]

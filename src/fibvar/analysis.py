@@ -15,11 +15,11 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Iterator, TextIO
+from typing import TextIO
 
 import numpy as np
 
-from .exact import CUBIC_MIN_POLY, isolate_real_roots
+from .exact import isolate_real_roots
 from .moments import moment_table
 from .partitions import DEFAULT_MEMORY_BUDGET
 
@@ -35,14 +35,6 @@ class AsymptoticConstants:
     exponent_main: Decimal  # log(lambda_1) / log(phi)
     exponent_cs: Decimal  # 2*lambda - 1
 
-    def as_floats(self) -> tuple[float, float, float, float]:
-        return (
-            float(self.phi),
-            float(self.lam),
-            float(self.exponent_main),
-            float(self.exponent_cs),
-        )
-
 
 def exponent_report(precision: int = 30) -> AsymptoticConstants:
     """Compute all four constants from first principles at the given precision.
@@ -52,9 +44,7 @@ def exponent_report(precision: int = 30) -> AsymptoticConstants:
     """
     if precision < 1:
         raise ValueError(f"precision must be >= 1, got {precision}")
-    lam1 = isolate_real_roots(
-        CUBIC_MIN_POLY, Fraction(1, 10 ** (precision + 5))
-    )[0].value
+    lam1 = isolate_real_roots(Fraction(1, 10 ** (precision + 5)))[0].value
     with localcontext() as ctx:
         ctx.prec = precision + 10
         phi = (1 + Decimal(5).sqrt()) / 2
@@ -65,38 +55,6 @@ def exponent_report(precision: int = 30) -> AsymptoticConstants:
         ctx.prec = precision
         return AsymptoticConstants(
             phi=+phi, lam=+lam, exponent_main=+exponent_main, exponent_cs=+exponent_cs
-        )
-
-
-@dataclass(frozen=True)
-class FigureRow:
-    h: int
-    v: int
-    norm_cs: float
-    norm_main: float
-
-
-def _norm_columns(h_max: int, budget: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if h_max < 1:
-        raise ValueError(f"h_max must be >= 1, got {h_max}")
-    constants = exponent_report(30)
-    moments = moment_table(h_max, budget=budget)
-    v = moments.v[1:]  # rows run H = 1..h_max
-    log_h = np.log(np.arange(1, h_max + 1, dtype=np.float64))
-    v_float = v.astype(np.float64)
-    norm_cs = v_float * np.exp(-float(constants.exponent_cs) * log_h)
-    norm_main = v_float * np.exp(-float(constants.exponent_main) * log_h)
-    return v, norm_cs, norm_main
-
-
-def figure_rows(
-    h_max: int, budget: int = DEFAULT_MEMORY_BUDGET
-) -> Iterator[FigureRow]:
-    """Yield one FigureRow per H in [1, h_max]."""
-    v, norm_cs, norm_main = _norm_columns(h_max, budget)
-    for i in range(h_max):
-        yield FigureRow(
-            h=i + 1, v=int(v[i]), norm_cs=float(norm_cs[i]), norm_main=float(norm_main[i])
         )
 
 
@@ -111,7 +69,15 @@ def write_figure_csv(
     h_max: int, out: TextIO = sys.stdout, budget: int = DEFAULT_MEMORY_BUDGET
 ) -> None:
     """Emit the figure table as CSV (UTF-8 text, LF lines, 12 significant digits)."""
-    v, norm_cs, norm_main = _norm_columns(h_max, budget)
+    if h_max < 1:
+        raise ValueError(f"h_max must be >= 1, got {h_max}")
+    constants = exponent_report(30)
+    moments = moment_table(h_max, budget=budget)
+    v = moments.v[1:]  # rows run H = 1..h_max
+    log_h = np.log(np.arange(1, h_max + 1, dtype=np.float64))
+    v_float = v.astype(np.float64)
+    norm_cs = v_float * np.exp(-float(constants.exponent_cs) * log_h)
+    norm_main = v_float * np.exp(-float(constants.exponent_main) * log_h)
     out.write(CSV_HEADER + "\n")
     for i in range(h_max):
         out.write(

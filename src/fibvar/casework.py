@@ -21,26 +21,14 @@ the auxiliary count w_m) are checked against raw counting.
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import BudgetError
 from .fibonacci import distinct_fib_upto, fib
-from .moments import moment_table, w_closed_form
+from .moments import moments_from_counts, w_closed_form
 from .partitions import r_table
 
 DEFAULT_ENUM_BUDGET = 20  # largest Fibonacci index whose subset space we enumerate
-
-
-@dataclass(frozen=True)
-class SubsetPair:
-    """An ordered pair of strictly increasing tuples of distinct Fibonacci values."""
-
-    xs: tuple[int, ...]
-    ys: tuple[int, ...]
-
-    @property
-    def is_solution(self) -> bool:
-        return sum(self.xs) == sum(self.ys)
 
 
 def _check_budget(m: int, budget: int) -> None:
@@ -51,22 +39,22 @@ def _check_budget(m: int, budget: int) -> None:
         )
 
 
-def _window_buckets(m: int) -> dict[int, Counter]:
-    """For each sum in (F_{m-1}, F_m], how many subsets attain it per max part.
+def _subset_buckets(top: int, lo: int, hi: int) -> dict[int, Counter]:
+    """Subsets of the distinct Fibonacci values <= top: sum in (lo, hi] -> max part -> count.
 
-    Iterates the distinct values in increasing order; when v is appended to
-    any subset of the smaller values it becomes the max, so the running list
-    of subset sums doubles once per value.
+    The values come in increasing order, so appending v to any subset of the
+    smaller values makes v its max, and the running list of subset sums grows
+    once per value.  A running sum above hi can never return to the window,
+    so it is dropped.
     """
-    lo, hi = fib(m - 1), fib(m)
     buckets: dict[int, Counter] = defaultdict(Counter)
     sums = [0]
-    for v in distinct_fib_upto(hi):
-        for s in sums:
-            t = s + v
-            if lo < t <= hi:
+    for v in distinct_fib_upto(top):
+        grown = [s + v for s in sums if s + v <= hi]
+        for t in grown:
+            if t > lo:
                 buckets[t][v] += 1
-        sums += [s + v for s in sums]
+        sums += grown
     return buckets
 
 
@@ -75,59 +63,23 @@ def count_window(m: int, budget: int = DEFAULT_ENUM_BUDGET) -> int:
     if m < 4:
         raise ValueError(f"window enumeration needs m >= 4, got {m}")
     _check_budget(m, budget)
-    buckets = _window_buckets(m)
+    buckets = _subset_buckets(fib(m), fib(m - 1), fib(m))
     return sum(sum(c.values()) ** 2 for c in buckets.values())
-
-
-def window_solutions(
-    m: int, budget: int = DEFAULT_ENUM_BUDGET
-) -> Iterator[SubsetPair]:
-    """Materialize every solution pair in the window; meant for small m."""
-    if m < 4:
-        raise ValueError(f"window enumeration needs m >= 4, got {m}")
-    _check_budget(m, budget)
-    lo, hi = fib(m - 1), fib(m)
-    by_sum: dict[int, list[tuple[int, ...]]] = defaultdict(list)
-    subsets: list[tuple[int, ...]] = [()]
-    for v in distinct_fib_upto(hi):
-        extended = [s + (v,) for s in subsets]
-        for s in extended:
-            t = sum(s)
-            if lo < t <= hi:
-                by_sum[t].append(s)
-        subsets += extended
-    for group in by_sum.values():
-        for xs, ys in product(group, group):
-            yield SubsetPair(xs=xs, ys=ys)
 
 
 def w_bruteforce(m: int, budget: int = DEFAULT_ENUM_BUDGET) -> int:
     """Exhaustive count of the auxiliary system behind case 5 / case 3.
 
     Counts pairs with the x side topped by F_{m-2}, the y side topped by
-    F_{m-3}, equal totals in (F_{m-3}, F_{m-1}]: remaining x parts range over
-    distinct values < F_{m-2} and remaining y parts over values < F_{m-3}.
+    F_{m-3}, equal totals in (F_{m-3}, F_{m-1}]: both sides are subsets of
+    F_2..F_{m-2}, told apart by their max part.
     """
     if m < 7:
         raise ValueError(f"auxiliary count needs m >= 7, got {m}")
     _check_budget(m, budget)
     x_top, y_top = fib(m - 2), fib(m - 3)
-    lo, hi = fib(m - 3), fib(m - 1)
-    x_sums = Counter(_subset_sums(distinct_fib_upto(x_top - 1)))
-    y_sums = Counter(_subset_sums(distinct_fib_upto(y_top - 1)))
-    total = 0
-    for sx, cx in x_sums.items():
-        t = sx + x_top
-        if lo < t <= hi:
-            total += cx * y_sums.get(t - y_top, 0)
-    return total
-
-
-def _subset_sums(values: list[int]) -> list[int]:
-    sums = [0]
-    for v in values:
-        sums += [s + v for s in sums]
-    return sums
+    buckets = _subset_buckets(x_top, y_top, fib(m - 1))
+    return sum(c[x_top] * c[y_top] for c in buckets.values())
 
 
 @dataclass(frozen=True)
@@ -159,7 +111,7 @@ def case_breakdown(m: int, budget: int = DEFAULT_ENUM_BUDGET) -> CaseBreakdown:
     f_m, f_m1, f_m2 = fib(m), fib(m - 1), fib(m - 2)
     tallies = Counter()
     total = 0
-    for counts_by_max in _window_buckets(m).values():
+    for counts_by_max in _subset_buckets(f_m, f_m1, f_m).values():
         for (mx, cx), (my, cy) in product(counts_by_max.items(), repeat=2):
             pairs = cx * cy
             total += pairs
@@ -216,7 +168,7 @@ def verify_cases(m: int, budget: int = DEFAULT_ENUM_BUDGET) -> CaseReport:
     bd = case_breakdown(m, budget=budget)
 
     counts = r_table(fib(m))
-    moments = moment_table(fib(m))
+    moments = moments_from_counts(counts)
     r_of = lambda k: counts.count(fib(k))
     v_of = lambda k: moments.v_at(fib(k))
 

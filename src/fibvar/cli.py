@@ -6,6 +6,7 @@ failed, 3 a memory or enumeration budget was exceeded.
 
 import argparse
 import sys
+from decimal import Decimal
 
 from . import analysis, casework, closed_form, moments, partitions
 from .errors import BudgetError
@@ -121,11 +122,17 @@ def _cmd_verify_lemma(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def _cmd_verify_cases(args) -> int:
+def _m_range(args) -> range:
     if args.m_lo < 7:
         raise _UsageError(f"--from must be >= 7, got {args.m_lo}")
+    if args.m_hi < args.m_lo:
+        raise _UsageError(f"empty range [{args.m_lo}, {args.m_hi}]")
+    return range(args.m_lo, args.m_hi + 1)
+
+
+def _cmd_verify_cases(args) -> int:
     all_ok = True
-    for m in range(args.m_lo, args.m_hi + 1):
+    for m in _m_range(args):
         report = casework.verify_cases(m)
         detail = " ".join(f"{c.name}={c.actual}/{c.expected}" for c in report.checks)
         print(f"m={m} {detail} {'PASS' if report.passed else 'FAIL'}")
@@ -135,10 +142,8 @@ def _cmd_verify_cases(args) -> int:
 
 
 def _cmd_verify_w(args) -> int:
-    if args.m_lo < 7:
-        raise _UsageError(f"--from must be >= 7, got {args.m_lo}")
     all_ok = True
-    for m in range(args.m_lo, args.m_hi + 1):
+    for m in _m_range(args):
         brute = casework.w_bruteforce(m)
         closed = moments.w_closed_form(m)
         ok = brute == closed
@@ -170,7 +175,8 @@ def _cmd_closed_form(args) -> int:
     if value.denominator != 1:
         print(f"V(F_{args.m}) = {value}  (non-integer!)")
         return EXIT_VERIFY
-    print(f"V(F_{args.m}) = {value}")
+    # str(int) refuses more than 4300 digits by default; str(Decimal) has no cap
+    print(f"V(F_{args.m}) = {Decimal(value.numerator)}")
     return EXIT_OK
 
 

@@ -26,45 +26,8 @@ from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .exact import (
-    CUBIC_MIN_POLY,
-    CubicElement,
-    IsolatedRoot,
-    isolate_real_roots,
-    poly_mul,
-    power_trace,
-    solve_linear_system,
-)
-
-# x^5 - 2x^4 - 3x^3 + 4x^2 + 2x - 2, ascending degree
-CHAR_POLY: tuple[int, ...] = (-2, 2, 4, -3, -2, 1)
-
-INITIAL_DATA: tuple[int, ...] = (2, 3, 7, 12, 26)  # V(F_2)..V(F_6)
-
-
-def characteristic_polynomial() -> list[int]:
-    """Expand (x - 1)(x + 1)(x^3 - 2x^2 - 2x + 2); equals CHAR_POLY."""
-    return poly_mul(poly_mul((-1, 1), (1, 1)), CUBIC_MIN_POLY)
-
-
-@dataclass(frozen=True)
-class RecurrenceSpec:
-    """The five-term recurrence with its forcing, initial data, and char poly."""
-
-    lag_coeffs: tuple[int, ...] = (2, 3, -4, -2, 2)
-    initial: tuple[int, ...] = INITIAL_DATA  # values at m = 2..6
-    char_poly: tuple[int, ...] = CHAR_POLY
-
-    def forcing(self, m: int) -> int:
-        return 1 - 2 * (m // 2)
-
-    def step(self, history, m: int):
-        """history[-1] is the value at m-1, back to history[-5] at m-5."""
-        homog = sum(c * history[-lag] for lag, c in enumerate(self.lag_coeffs, start=1))
-        return homog + self.forcing(m)
-
-
-VARIANCE_RECURRENCE = RecurrenceSpec()
+from .exact import CubicElement, IsolatedRoot, isolate_real_roots, power_trace, solve_linear_system
+from .moments import VARIANCE_RECURRENCE
 
 
 def particular_part(m: int) -> Fraction:
@@ -89,7 +52,7 @@ def build_trace_system() -> tuple[list[list[Fraction]], list[Fraction]]:
                 Fraction((-1) ** m),
             ]
         )
-        rhs.append(Fraction(INITIAL_DATA[m - 2]) - particular_part(m))
+        rhs.append(Fraction(VARIANCE_RECURRENCE.initial[m - 2]) - particular_part(m))
     return matrix, rhs
 
 
@@ -121,9 +84,11 @@ class ClosedFormSolution:
 
 def solve_closed_form(precision_digits: int = 30) -> ClosedFormSolution:
     """Solve the trace system exactly and isolate the cubic's roots."""
+    if precision_digits < 1:
+        raise ValueError(f"precision must be >= 1, got {precision_digits}")
     matrix, rhs = build_trace_system()
     g0, g1, g2, c3, c4 = solve_linear_system(matrix, rhs)
-    roots = isolate_real_roots(CUBIC_MIN_POLY, Fraction(1, 10**precision_digits))
+    roots = isolate_real_roots(Fraction(1, 10**precision_digits))
     return ClosedFormSolution(
         c_field=CubicElement(g0, g1, g2),
         c3=c3,

@@ -1,11 +1,13 @@
-"""Exact arithmetic: the cubic field Q(theta), rational linear solving, root isolation.
+"""Exact arithmetic for the cubic x^3 - 2x^2 - 2x + 2: power sums, rational solving, roots.
 
-theta is a root of x^3 - 2x^2 - 2x + 2, which is irreducible over Q, so
-Q(theta) is a field; its three embeddings send theta to the three real roots
-of the cubic.  Scalars are fractions.Fraction throughout, which keeps every
-value reduced with a positive denominator.  The linear solver is fraction-free
-(Bareiss) after clearing row denominators, and real roots are isolated by
-sign-change bisection starting from the Cauchy bound.
+theta is a root of x^3 - 2x^2 - 2x + 2, which is irreducible over Q, so an
+element of Q(theta) is a coordinate triple whose three embeddings evaluate it
+at the three real roots of the cubic.  Scalars are fractions.Fraction
+throughout, which keeps every value reduced with a positive denominator.  The
+linear solver is fraction-free (Bareiss) after clearing row denominators.
+Real roots are isolated by one sign scan of a fixed grid on the Cauchy
+interval [-3, 3] and bisected in integer arithmetic; because the cubic has no
+rational roots, no grid point or bisection midpoint can be a root.
 """
 
 import threading
@@ -15,10 +17,9 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-Rational = Fraction
-
 # x^3 - 2x^2 - 2x + 2, coefficients by ascending degree
 CUBIC_MIN_POLY: tuple[int, int, int, int] = (2, -2, -2, 1)
+CAUCHY_BOUND = 3  # 1 + max |coefficient| of the monic cubic: every root is in [-3, 3]
 
 
 class SingularMatrixError(Exception):
@@ -31,89 +32,19 @@ def _frac(x) -> Fraction:
 
 @dataclass(frozen=True)
 class CubicElement:
-    """g0 + g1*theta + g2*theta^2 with theta^3 = 2*theta^2 + 2*theta - 2."""
+    """g0 + g1*theta + g2*theta^2 in Q(theta)."""
 
     g0: Fraction
     g1: Fraction
     g2: Fraction
 
-    @classmethod
-    def of(cls, g0=0, g1=0, g2=0) -> "CubicElement":
-        return cls(_frac(g0), _frac(g1), _frac(g2))
-
-    @classmethod
-    def zero(cls) -> "CubicElement":
-        return cls.of(0)
-
-    @classmethod
-    def one(cls) -> "CubicElement":
-        return cls.of(1)
-
-    @classmethod
-    def theta(cls) -> "CubicElement":
-        return cls.of(0, 1)
-
-    def is_zero(self) -> bool:
-        return self.g0 == 0 and self.g1 == 0 and self.g2 == 0
-
-    def __add__(self, other: "CubicElement") -> "CubicElement":
-        return CubicElement(self.g0 + other.g0, self.g1 + other.g1, self.g2 + other.g2)
-
-    def __sub__(self, other: "CubicElement") -> "CubicElement":
-        return CubicElement(self.g0 - other.g0, self.g1 - other.g1, self.g2 - other.g2)
-
-    def __neg__(self) -> "CubicElement":
-        return CubicElement(-self.g0, -self.g1, -self.g2)
-
-    def __mul__(self, other):
-        if isinstance(other, CubicElement):
-            return cubic_mul(self, other)
-        return CubicElement(self.g0 * other, self.g1 * other, self.g2 * other)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "CubicElement":
-        return cubic_inv(self)
-
     def coords(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.g0, self.g1, self.g2)
 
-    def embed(self, x):
-        """Evaluate g0 + g1*x + g2*x^2 at a numeric (or Fraction) image of theta."""
-        if isinstance(x, Decimal):
-            g0, g1, g2 = (
-                Decimal(c.numerator) / Decimal(c.denominator) for c in self.coords()
-            )
-            return g0 + x * (g1 + x * g2)
-        return self.g0 + x * (self.g1 + x * self.g2)
-
-
-def cubic_mul(a: CubicElement, b: CubicElement) -> CubicElement:
-    """Product in Q(theta), reduced by theta^3 = 2*theta^2 + 2*theta - 2."""
-    # raw degree-4 coefficients
-    c0 = a.g0 * b.g0
-    c1 = a.g0 * b.g1 + a.g1 * b.g0
-    c2 = a.g0 * b.g2 + a.g1 * b.g1 + a.g2 * b.g0
-    c3 = a.g1 * b.g2 + a.g2 * b.g1
-    c4 = a.g2 * b.g2
-    # theta^4 = 6 theta^2 + 2 theta - 4  (apply the relation twice)
-    c2 += 2 * c3 + 6 * c4
-    c1 += 2 * c3 + 2 * c4
-    c0 += -2 * c3 - 4 * c4
-    return CubicElement(c0, c1, c2)
-
-
-def cubic_inv(a: CubicElement) -> CubicElement:
-    """Multiplicative inverse of a nonzero element, via the 3x3 system a*x = 1."""
-    if a.is_zero():
-        raise ValueError("zero has no inverse in Q(theta)")
-    basis_images = [
-        cubic_mul(a, e)
-        for e in (CubicElement.one(), CubicElement.theta(), CubicElement.of(0, 0, 1))
-    ]
-    matrix = [[img.coords()[row] for img in basis_images] for row in range(3)]
-    x0, x1, x2 = solve_linear_system(matrix, [Fraction(1), Fraction(0), Fraction(0)])
-    return CubicElement(x0, x1, x2)
+    def embed(self, x: Decimal) -> Decimal:
+        """Evaluate g0 + g1*x + g2*x^2 at a decimal image of theta."""
+        g0, g1, g2 = (Decimal(c.numerator) / Decimal(c.denominator) for c in self.coords())
+        return g0 + x * (g1 + x * g2)
 
 
 _trace_lock = threading.Lock()
@@ -123,15 +54,15 @@ _trace_values = [Fraction(3), Fraction(2), Fraction(8)]
 def power_trace(k: int) -> Fraction:
     """Sum of the k-th powers of the three roots of x^3 - 2x^2 - 2x + 2.
 
-    Newton's identities give the seeds (3, 2, 8) and the recurrence
-    p_k = 2 p_{k-1} + 2 p_{k-2} - 2 p_{k-3}.
+    Newton's identities give the seeds (3, 2, 8), and the cubic itself gives
+    the recurrence p_k = 2 p_{k-1} + 2 p_{k-2} - 2 p_{k-3}.
     """
     if k < 0:
         raise ValueError(f"power sum index must be >= 0, got {k}")
     with _trace_lock:
         while len(_trace_values) <= k:
             _trace_values.append(
-                2 * _trace_values[-1] + 2 * _trace_values[-2] - 2 * _trace_values[-3]
+                -sum(c * p for c, p in zip(CUBIC_MIN_POLY, _trace_values[-3:]))
             )
         return _trace_values[k]
 
@@ -182,21 +113,6 @@ def solve_linear_system(
     return solution
 
 
-def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def poly_mul(a: Sequence, b: Sequence) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
 @dataclass(frozen=True)
 class IsolatedRoot:
     """A rational bracket [low, high] around one simple real root.
@@ -226,83 +142,49 @@ def _to_decimal(x: Fraction, digits: int) -> Decimal:
         return Decimal(x.numerator) / Decimal(x.denominator)
 
 
-def _bisect(coeffs, low: Fraction, high: Fraction, precision: Fraction) -> tuple[Fraction, Fraction]:
-    f_low = poly_eval(coeffs, low)
-    while high - low > precision:
-        mid = (low + high) / 2
-        f_mid = poly_eval(coeffs, mid)
-        if f_mid == 0:
-            # mid is an exact rational root: shrink to a sign-changing sliver
-            delta = precision / 2
-            while poly_eval(coeffs, mid - delta) * poly_eval(coeffs, mid + delta) >= 0:
-                delta /= 2
-            return mid - delta, mid + delta
-        if (f_low < 0) != (f_mid < 0):
-            high = mid
-        else:
-            low, f_low = mid, f_mid
-    return low, high
+def _negative_at(n: int, e: int) -> bool:
+    """Whether the cubic is negative at x = CAUCHY_BOUND * n / 2^e."""
+    c0, c1, c2, c3 = CUBIC_MIN_POLY
+    x = CAUCHY_BOUND * n  # the point is x / 2^e; f is scaled by 2^(3e)
+    return ((c3 * x + (c2 << e)) * x + (c1 << 2 * e)) * x + (c0 << 3 * e) < 0
 
 
-def isolate_real_roots(
-    coeffs: Sequence, precision: Fraction = Fraction(1, 10**30)
-) -> list[IsolatedRoot]:
-    """Isolate the three real roots of a cubic, sorted by decreasing value.
+def isolate_real_roots(precision: Fraction = Fraction(1, 10**30)) -> list[IsolatedRoot]:
+    """Isolate the three real roots of the cubic, sorted by decreasing value.
 
-    A positive discriminant certifies three distinct real roots up front
-    (ValueError otherwise); the search then scans [-B, B] (Cauchy bound B)
-    on successively finer uniform grids until three sign-change cells appear,
-    and bisects each cell to the requested width.  If a grid point lands
-    exactly on a root the grid is shifted rather than refined.
+    Grid points and bisection midpoints are CAUCHY_BOUND * n / 2^e.  The scan
+    at e = 2 (eight cells on [-3, 3]) finds one sign change per root, and each
+    cell is halved toward its sign change until its width is at most
+    precision.
     """
-    c = [_frac(x) for x in coeffs]
-    if len(c) != 4 or c[3] == 0:
-        raise ValueError("expected a degree-3 polynomial as 4 coefficients")
-    d, cc, b, a = c
-    discriminant = (
-        18 * a * b * cc * d
-        - 4 * b**3 * d
-        + b**2 * cc**2
-        - 4 * a * cc**3
-        - 27 * a**2 * d**2
-    )
-    if discriminant <= 0:
-        raise ValueError("cubic does not have three distinct real roots")
-    monic = [ci / c[3] for ci in c]
-    bound = 1 + max(abs(monic[0]), abs(monic[1]), abs(monic[2]))
     precision = _frac(precision)
     if precision <= 0:
         raise ValueError("precision must be positive")
-
-    cells = 8
-    while cells <= 2**16:
-        # each exact rational root can spoil at most one shifted grid
-        for shift_num in range(4):
-            offset = Fraction(shift_num, 7) * (2 * bound / cells)
-            grid = [-bound + offset + 2 * bound * i / cells for i in range(cells + 1)]
-            values = [poly_eval(monic, g) for g in grid]
-            if any(v == 0 for v in values):
-                continue
-            brackets = [
-                (grid[i], grid[i + 1])
-                for i in range(cells)
-                if (values[i] < 0) != (values[i + 1] < 0)
-            ]
-            if len(brackets) == 3:
-                digits = _decimal_digits(precision)
-                roots = []
-                for lo, hi in brackets:
-                    lo, hi = _bisect(monic, lo, hi, precision)
-                    mid = (lo + hi) / 2
-                    roots.append(
-                        IsolatedRoot(
-                            low=lo,
-                            high=hi,
-                            value=_to_decimal(mid, digits),
-                            precision=precision,
-                        )
-                    )
-                roots.sort(key=lambda r: r.value, reverse=True)
-                return roots
-        cells *= 2
-    raise ValueError("could not find three sign changes: no three distinct real roots")
+    scan = 2
+    cells = [
+        n
+        for n in range(-(1 << scan), 1 << scan)
+        if _negative_at(n, scan) != _negative_at(n + 1, scan)
+    ]
+    if len(cells) != 3:
+        raise RuntimeError(f"expected 3 sign changes on the grid, found {len(cells)}")
+    e = scan
+    while CAUCHY_BOUND * precision.denominator > precision.numerator << e:
+        e += 1
+    digits = _decimal_digits(precision)
+    roots = []
+    for n in reversed(cells):
+        low_negative = _negative_at(n, scan)
+        for k in range(scan + 1, e + 1):
+            n = 2 * n + 1 if _negative_at(2 * n + 1, k) == low_negative else 2 * n
+        low = Fraction(CAUCHY_BOUND * n, 1 << e)
+        high = Fraction(CAUCHY_BOUND * (n + 1), 1 << e)
+        roots.append(
+            IsolatedRoot(
+                low=low,
+                high=high,
+                value=_to_decimal((low + high) / 2, digits),
+                precision=precision,
+            )
+        )
+    return roots

@@ -18,39 +18,6 @@ def fib(m: int) -> int:
     return a
 
 
-@dataclass(frozen=True)
-class FibTable:
-    """Fibonacci numbers up to a fixed index, plus the deduplicated values.
-
-    values_by_index[m] == F_m for 1 <= m <= m_max (entry 0 holds F_0 = 0 so
-    indexing is direct).  distinct_values lists {F_m : m >= 2} up to F_m_max,
-    strictly increasing, with the value 1 exactly once.
-    """
-
-    m_max: int
-    values_by_index: tuple[int, ...]
-    distinct_values: tuple[int, ...]
-
-    def value(self, m: int) -> int:
-        if not 1 <= m <= self.m_max:
-            raise ValueError(f"index {m} outside table range [1, {self.m_max}]")
-        return self.values_by_index[m]
-
-
-def fib_table(m_max: int) -> FibTable:
-    """Build a FibTable covering indices 1..m_max."""
-    if m_max < 1:
-        raise ValueError(f"m_max must be >= 1, got {m_max}")
-    values = [0, 1]
-    while len(values) <= m_max:
-        values.append(values[-1] + values[-2])
-    return FibTable(
-        m_max=m_max,
-        values_by_index=tuple(values),
-        distinct_values=tuple(values[2 : m_max + 1]),
-    )
-
-
 def distinct_fib_upto(h: int) -> list[int]:
     """All distinct Fibonacci values <= h, increasing; 1 listed once."""
     if h < 1:
@@ -80,15 +47,13 @@ def zeckendorf(n: int) -> ZeckendorfRepr:
     """Greedy Zeckendorf decomposition of n >= 1."""
     if n < 1:
         raise ValueError(f"Zeckendorf representation needs n >= 1, got {n}")
-    # table of F_2..F_k covering n
-    values = [1, 2]
-    while values[-1] + values[-2] <= n:
-        values.append(values[-1] + values[-2])
+    values = distinct_fib_upto(n)  # values[0] == F_2
     indices = []
     rest = n
     for pos in range(len(values) - 1, -1, -1):
         if values[pos] <= rest:
             rest -= values[pos]
-            indices.append(pos + 2)  # values[0] == F_2
-    assert rest == 0
+            indices.append(pos + 2)
+    if rest != 0:
+        raise RuntimeError(f"greedy decomposition of {n} left remainder {rest}")
     return ZeckendorfRepr(indices=tuple(indices))

@@ -7,8 +7,9 @@ satisfies, for m >= 7,
     V(F_m) = 2 V(F_{m-1}) + 3 V(F_{m-2}) - 4 V(F_{m-3}) - 2 V(F_{m-4})
              + 2 V(F_{m-5}) + 1 - 2*floor(m/2),
 
-which verify_lemma checks as an identity between two independently computed
-sides.  w_closed_form evaluates the auxiliary count
+which VARIANCE_RECURRENCE states once and verify_lemma checks as an identity
+between two independently computed sides.  w_closed_form evaluates the
+auxiliary count
 
     w_m = V(F_{m-3}) - R(F_{m-3}) - R(F_{m-5}) - V(F_{m-5}),
 
@@ -90,6 +91,30 @@ def fib_moment_series(
     return FibMomentSeries(m_max=m_max, values=tuple(values))
 
 
+@dataclass(frozen=True)
+class RecurrenceSpec:
+    """The five-term recurrence for V(F_m), m >= 7, with its initial data."""
+
+    lag_coeffs: tuple[int, ...] = (2, 3, -4, -2, 2)
+    initial: tuple[int, ...] = (2, 3, 7, 12, 26)  # V(F_2)..V(F_6)
+
+    @property
+    def char_poly(self) -> tuple[int, ...]:
+        """Characteristic polynomial of the homogeneous part, ascending degree."""
+        return tuple(-c for c in reversed(self.lag_coeffs)) + (1,)
+
+    def forcing(self, m: int) -> int:
+        return 1 - 2 * (m // 2)
+
+    def step(self, history, m: int):
+        """history[-1] is the value at m-1, back to history[-5] at m-5."""
+        homog = sum(c * history[-lag] for lag, c in enumerate(self.lag_coeffs, start=1))
+        return homog + self.forcing(m)
+
+
+VARIANCE_RECURRENCE = RecurrenceSpec()
+
+
 class LemmaRow(NamedTuple):
     m: int
     lhs: int
@@ -102,9 +127,9 @@ def verify_lemma(
 ) -> list[LemmaRow]:
     """Compare V(F_m) from the tables against the five-term recurrence.
 
-    The left side is the DP value; the right side is assembled from the five
-    preceding checkpoint values plus the forcing term 1 - 2*floor(m/2).  The
-    recurrence only holds from m = 7, so smaller m_lo is a domain error.
+    The left side is the DP value; the right side is VARIANCE_RECURRENCE
+    applied to the five preceding checkpoint values.  The recurrence only
+    holds from m = 7, so smaller m_lo is a domain error.
     """
     if m_lo < 7:
         raise ValueError(f"the recurrence needs m >= 7, got m_lo={m_lo}")
@@ -114,15 +139,7 @@ def verify_lemma(
     rows = []
     for m in range(m_lo, m_hi + 1):
         lhs = series.v(m)
-        rhs = (
-            2 * series.v(m - 1)
-            + 3 * series.v(m - 2)
-            - 4 * series.v(m - 3)
-            - 2 * series.v(m - 4)
-            + 2 * series.v(m - 5)
-            + 1
-            - 2 * (m // 2)
-        )
+        rhs = VARIANCE_RECURRENCE.step(series.values[m - 5 : m], m)
         rows.append(LemmaRow(m, lhs, rhs, lhs == rhs))
     return rows
 

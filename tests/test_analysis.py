@@ -3,12 +3,7 @@ from decimal import Decimal
 
 import pytest
 
-from fibvar.analysis import (
-    CSV_HEADER,
-    exponent_report,
-    figure_rows,
-    write_figure_csv,
-)
+from fibvar.analysis import CSV_HEADER, exponent_report, write_figure_csv
 from fibvar.errors import BudgetError
 from fibvar.fibonacci import fib
 from fibvar.moments import moment_table
@@ -36,11 +31,12 @@ def test_exponent_report_rejects_bad_precision():
 
 
 def test_first_figure_row():
-    row = next(figure_rows(1))
-    assert row.h == 1
-    assert row.v == 2  # R(0)^2 + R(1)^2
-    assert row.norm_cs == pytest.approx(2.0)
-    assert row.norm_main == pytest.approx(2.0)
+    out = io.StringIO()
+    write_figure_csv(1, out)
+    h, v, norm_cs, norm_main = out.getvalue().splitlines()[1].split(",")
+    assert (h, v) == ("1", "2")  # V(1) = R(0)^2 + R(1)^2
+    assert float(norm_cs) == pytest.approx(2.0)
+    assert float(norm_main) == pytest.approx(2.0)
 
 
 def test_csv_shape_and_formatting():

@@ -5,7 +5,6 @@ from fibvar.casework import (
     count_window,
     verify_cases,
     w_bruteforce,
-    window_solutions,
 )
 from fibvar.errors import BudgetError
 from fibvar.moments import v_at_fib, w_closed_form
@@ -29,21 +28,6 @@ def test_count_window_domain_and_budget():
         count_window(21)
     with pytest.raises(BudgetError):
         count_window(12, budget=10)
-
-
-def test_window_solutions_degenerate_m4():
-    pairs = list(window_solutions(4))
-    assert len(pairs) == count_window(4)
-    for pair in pairs:
-        assert pair.is_solution
-        assert 2 < sum(pair.xs) <= 3  # window (F_3, F_4]
-        # every part is one of the three smallest distinct values
-        assert max(pair.xs) in {1, 2, 3}
-        assert max(pair.ys) in {1, 2, 3}
-
-
-def test_window_solutions_count_matches_m7():
-    assert sum(1 for _ in window_solutions(7)) == 27
 
 
 def test_w_bruteforce_matches_closed_form():

@@ -1,9 +1,11 @@
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 
 from fibvar import cli
+from fibvar.closed_form import closed_form_v
 from fibvar.moments import LemmaRow
 
 
@@ -102,6 +104,15 @@ def test_closed_form_subcommand(capsys):
     assert out.strip() == "V(F_30) = 50849571042"
 
 
+def test_closed_form_prints_more_digits_than_int_str_limit(capsys, solution):
+    # V(F_20000) has 7893 digits, past the default cap of 4300 on str(int)
+    code, out, _ = run_cli(capsys, "closed-form", "--m", "20000")
+    assert code == 0
+    label, digits = out.rstrip("\n").split(" = ")
+    assert label == "V(F_20000)"
+    assert Decimal(digits) == closed_form_v(20000, solution)
+
+
 def test_exponents_subcommand(capsys):
     code, out, _ = run_cli(capsys, "exponents")
     assert code == 0
@@ -166,8 +177,17 @@ def test_module_entry_point():
 
 @pytest.mark.parametrize(
     "argv",
-    [["r"], ["table"], ["closed-form", "--m", "notanint"]],
+    [
+        ["r"],
+        ["table"],
+        ["closed-form", "--m", "notanint"],
+        ["verify-w", "--to", "5"],
+        ["verify-cases", "--from", "9", "--to", "8"],
+        ["solve", "--precision", "-1"],
+        ["solve", "--precision", "0"],
+    ],
 )
 def test_malformed_flags(capsys, argv):
-    code, _, _ = run_cli(capsys, *argv)
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 1
+    assert out == ""

@@ -5,20 +5,25 @@ import pytest
 import sympy as sp
 
 from fibvar.closed_form import (
-    CHAR_POLY,
-    VARIANCE_RECURRENCE,
     asymptotic_constant,
     build_trace_system,
-    characteristic_polynomial,
     closed_form_v,
     embed_coefficients,
     particular_part,
 )
-from fibvar.moments import v_at_fib
+from fibvar.exact import CUBIC_MIN_POLY
+from fibvar.moments import VARIANCE_RECURRENCE, v_at_fib
 
 
 def test_characteristic_polynomial_factorization():
-    assert characteristic_polynomial() == list(CHAR_POLY)
+    # the recurrence's characteristic polynomial is (x - 1)(x + 1) times the
+    # cubic whose roots the closed form is built on
+    x = sp.symbols("x")
+    char_poly = sp.Poly(list(reversed(VARIANCE_RECURRENCE.char_poly)), x)
+    cubic = sp.Poly(list(reversed(CUBIC_MIN_POLY)), x)
+    assert char_poly == sp.Poly(x**5 - 2 * x**4 - 3 * x**3 + 4 * x**2 + 2 * x - 2, x)
+    assert cubic == sp.Poly(x**3 - 2 * x**2 - 2 * x + 2, x)
+    assert char_poly == sp.Poly((x - 1) * (x + 1), x) * cubic
 
 
 def test_particular_part_values():

@@ -1,3 +1,4 @@
+import hashlib
 from decimal import Decimal
 from fractions import Fraction
 
@@ -8,79 +9,16 @@ from hypothesis import strategies as st
 
 from fibvar.exact import (
     CUBIC_MIN_POLY,
-    CubicElement,
     SingularMatrixError,
-    cubic_inv,
-    cubic_mul,
     isolate_real_roots,
-    poly_eval,
     power_trace,
     solve_linear_system,
 )
 
-rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
-elements = st.builds(CubicElement, rationals, rationals, rationals)
 
-_X = sp.symbols("x")
-_MINPOLY = sp.Poly(_X**3 - 2 * _X**2 - 2 * _X + 2, _X, domain="QQ")
-
-
-def to_sympy_poly(e: CubicElement) -> sp.Poly:
-    return sp.Poly(
-        sp.Rational(e.g0.numerator, e.g0.denominator)
-        + sp.Rational(e.g1.numerator, e.g1.denominator) * _X
-        + sp.Rational(e.g2.numerator, e.g2.denominator) * _X**2,
-        _X,
-        domain="QQ",
-    )
-
-
-def test_defining_relation():
-    theta = CubicElement.theta()
-    theta2 = CubicElement.of(0, 0, 1)
-    assert cubic_mul(theta, theta2) == CubicElement.of(-2, 2, 2)
-
-
-def test_one_is_identity():
-    b = CubicElement.of(Fraction(3, 7), -2, Fraction(1, 5))
-    assert cubic_mul(CubicElement.one(), b) == b
-
-
-def test_theta2_squared():
-    theta2 = CubicElement.of(0, 0, 1)
-    assert cubic_mul(theta2, theta2) == CubicElement.of(-4, 2, 6)
-
-
-@settings(max_examples=60)
-@given(elements, elements)
-def test_multiplication_matches_polynomial_reduction(a, b):
-    product = cubic_mul(a, b)
-    expected = (to_sympy_poly(a) * to_sympy_poly(b)).rem(_MINPOLY)
-    assert to_sympy_poly(product) == expected
-
-
-@settings(max_examples=40)
-@given(elements, elements, elements)
-def test_ring_axioms(a, b, c):
-    assert cubic_mul(a, b) == cubic_mul(b, a)
-    assert cubic_mul(cubic_mul(a, b), c) == cubic_mul(a, cubic_mul(b, c))
-    assert cubic_mul(a, b + c) == cubic_mul(a, b) + cubic_mul(a, c)
-
-
-def test_theta_inverse_closed_form():
-    # theta * (theta^2 - 2 theta - 2) = -2, so 1/theta = -(theta^2 - 2 theta - 2)/2
-    inv = cubic_inv(CubicElement.theta())
-    assert inv == CubicElement.of(1, 1, Fraction(-1, 2))
-
-
-@settings(max_examples=60)
-@given(elements)
-def test_inverse_roundtrip(a):
-    if a.is_zero():
-        with pytest.raises(ValueError):
-            cubic_inv(a)
-    else:
-        assert cubic_mul(a, cubic_inv(a)) == CubicElement.one()
+def cubic(x: Fraction) -> Fraction:
+    c0, c1, c2, c3 = CUBIC_MIN_POLY
+    return c0 + x * (c1 + x * (c2 + x * c3))
 
 
 def test_power_trace_seeds_and_recurrence():
@@ -92,7 +30,7 @@ def test_power_trace_seeds_and_recurrence():
 
 
 def test_power_trace_matches_numeric_roots():
-    roots = isolate_real_roots(CUBIC_MIN_POLY, Fraction(1, 10**40))
+    roots = isolate_real_roots(Fraction(1, 10**40))
     for k in range(41):
         numeric = sum(r.value**k for r in roots)
         assert abs(numeric - Decimal(int(power_trace(k)))) < Decimal("1e-20") * max(
@@ -147,7 +85,10 @@ def test_solver_reproduces_rhs_exactly(matrix, rhs):
 
 
 def test_isolate_roots_of_the_cubic():
-    roots = isolate_real_roots(CUBIC_MIN_POLY, Fraction(1, 10**30))
+    # irreducible over Q, so no rational grid point or midpoint is a root
+    x = sp.symbols("x")
+    assert sp.Poly(list(reversed(CUBIC_MIN_POLY)), x, domain="QQ").is_irreducible
+    roots = isolate_real_roots(Fraction(1, 10**30))
     assert len(roots) == 3
     # descending order, matching ~2.4812 > ~0.6889 > ~-1.1701
     values = [r.value for r in roots]
@@ -155,36 +96,33 @@ def test_isolate_roots_of_the_cubic():
     assert abs(values[0] - Decimal("2.481194304092015622633537241217")) < Decimal("1e-29")
     assert abs(values[1] - Decimal("0.688892182534018100069718523209")) < Decimal("1e-29")
     assert abs(values[2] - Decimal("-1.170086486626033722703255764425")) < Decimal("1e-29")
-    coeffs = [Fraction(c) for c in CUBIC_MIN_POLY]
     for root in roots:
         assert root.high - root.low <= root.precision
-        assert poly_eval(coeffs, root.low) * poly_eval(coeffs, root.high) < 0
+        assert cubic(root.low) * cubic(root.high) < 0
         # Cauchy bound for the monic cubic: all roots in [-3, 3]
         assert Fraction(-3) <= root.low < root.high <= Fraction(3)
     # brackets pairwise disjoint
     assert roots[2].high < roots[1].low and roots[1].high < roots[0].low
 
 
-def test_isolate_roots_with_exact_rational_roots():
-    # x^3 - x = x(x-1)(x+1): grid points land on the roots and must be dodged
-    roots = isolate_real_roots((0, -1, 0, 1), Fraction(1, 10**20))
-    got = [r.value for r in roots]
-    for value, want in zip(got, (1, 0, -1)):
-        assert abs(value - want) < Decimal("1e-19")
-
-
-def test_isolate_roots_rejects_non_separable_cubics():
-    with pytest.raises(ValueError):
-        isolate_real_roots((-1, 3, -3, 1))  # (x-1)^3
-    with pytest.raises(ValueError):
-        isolate_real_roots((0, 1, 0, 1))  # x^3 + x, one real root
-
-
 def test_isolate_roots_honors_precision():
-    root = isolate_real_roots(CUBIC_MIN_POLY, Fraction(1, 10**50))[0]
+    root = isolate_real_roots(Fraction(1, 10**50))[0]
     assert root.high - root.low <= Fraction(1, 10**50)
+    with pytest.raises(ValueError):
+        isolate_real_roots(Fraction(0))
 
 
-def test_rational_type_is_reduced():
-    assert Fraction(2, 4) == Fraction(1, 2)
-    assert Fraction(3, -6).denominator == 2
+@pytest.mark.parametrize(
+    "digits, digest",
+    [
+        (30, "72a4f6af84e357d8e58d086bba7fbc94be2b882fc56bdc9bac3beaf830289fd5"),
+        (155, "95c4f1d67427e9dfb5cf1b7ee3b0a4c1ca407cd25d757241b5c3aa18fe7cbc96"),
+        (360, "e235bfd51e85271ebeff31fcdf08a40ac4896dfdd43dd6ad4a2ebc5241490841"),
+    ],
+)
+def test_isolate_roots_brackets_are_pinned(digits, digest):
+    # digests of the exact (low, high) brackets, which the published roots
+    # and exponents are computed from
+    roots = isolate_real_roots(Fraction(1, 10**digits))
+    ends = [(r.low.numerator, r.low.denominator, r.high.numerator, r.high.denominator) for r in roots]
+    assert hashlib.sha256(repr(ends).encode()).hexdigest() == digest

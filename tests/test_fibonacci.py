@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fibvar.fibonacci import (
-    ZeckendorfRepr,
-    distinct_fib_upto,
-    fib,
-    fib_table,
-    zeckendorf,
-)
+from fibvar.fibonacci import ZeckendorfRepr, distinct_fib_upto, fib, zeckendorf
 
 
 def test_fib_base_values():
@@ -24,19 +18,6 @@ def test_fib_base_values():
 def test_fib_rejects_bad_index(m):
     with pytest.raises(ValueError):
         fib(m)
-
-
-def test_fib_table_recurrence():
-    table = fib_table(40)
-    for m in range(3, 41):
-        assert table.value(m) == table.value(m - 1) + table.value(m - 2)
-
-
-def test_fib_table_distinct_values():
-    table = fib_table(20)
-    assert table.distinct_values[:6] == (1, 2, 3, 5, 8, 13)
-    assert all(a < b for a, b in zip(table.distinct_values, table.distinct_values[1:]))
-    assert table.distinct_values.count(1) == 1
 
 
 def test_distinct_values_sum_identity():
@@ -73,10 +54,10 @@ def test_zeckendorf_roundtrip_and_shape(n):
 
 
 def test_zeckendorf_roundtrip_exhaustive_to_1e5():
-    table = fib_table(30)
+    values = {m: fib(m) for m in range(2, 31)}
     for n in range(1, 10**5 + 1):
         z = zeckendorf(n)
-        assert sum(table.value(i) for i in z.indices) == n
+        assert sum(values[i] for i in z.indices) == n
         assert all(a > b + 1 for a, b in zip(z.indices, z.indices[1:]))
 
 

@@ -14,22 +14,18 @@ from pathlib import Path
 
 from fibvar.analysis import exponent_report, write_figure_csv
 from fibvar.casework import verify_cases
-from fibvar.closed_form import (
-    asymptotic_constant,
-    closed_form_v,
-    embed_coefficients,
-    solve_closed_form,
-)
+from fibvar.closed_form import closed_form_v, embed_coefficients, solve_closed_form
 from fibvar.fibonacci import fib
-from fibvar.moments import fib_moment_series, moment_table, verify_lemma
+from fibvar.moments import VARIANCE_RECURRENCE, fib_moment_series, moment_table, verify_lemma
 from fibvar.partitions import check_carlitz, check_sqrt_bound
+
+LEMMA_M_MAX = 28
+CASES_M_MAX = 16
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--outdir", type=Path, default=Path("figures"))
-    parser.add_argument("--lemma-max", type=int, default=28)
-    parser.add_argument("--cases-max", type=int, default=16)
     args = parser.parse_args()
 
     failures = 0
@@ -41,15 +37,15 @@ def main() -> int:
         failures += not ok
 
     print("initial data")
-    series = fib_moment_series(6)
-    check("V(F_2..F_6) = (2, 3, 7, 12, 26)", series.values[2:] == (2, 3, 7, 12, 26))
+    initial = VARIANCE_RECURRENCE.initial
+    check(f"V(F_2..F_6) = {initial}", fib_moment_series(6).values[2:] == initial)
 
-    print(f"five-term recurrence, m in [7, {args.lemma_max}]")
-    rows = verify_lemma(7, args.lemma_max)
+    print(f"five-term recurrence, m in [7, {LEMMA_M_MAX}]")
+    rows = verify_lemma(7, LEMMA_M_MAX)
     check(f"{len(rows)} checkpoints", all(r.equal for r in rows))
 
-    print(f"case decomposition, m in [7, {args.cases_max}]")
-    reports = [verify_cases(m) for m in range(7, args.cases_max + 1)]
+    print(f"case decomposition, m in [7, {CASES_M_MAX}]")
+    reports = [verify_cases(m) for m in range(7, CASES_M_MAX + 1)]
     check(f"{len(reports)} breakdowns", all(r.passed for r in reports))
 
     print("pointwise identities")
@@ -72,7 +68,8 @@ def main() -> int:
     v30 = moment_table(fib(30)).v_at(fib(30))
     with localcontext() as ctx:
         ctx.prec = 40
-        ratio = Decimal(v30) / (asymptotic_constant(sol, digits=40) * sol.lambda1.value**30)
+        c1 = embed_coefficients(sol, digits=40)[0]
+        ratio = Decimal(v30) / (c1 * sol.lambda1.value**30)
     print(f"  V(F_30) / (c1 * lambda1^30) = {+ratio}")
     check("ratio within 1e-6 of 1", abs(ratio - 1) < Decimal("1e-6"))
     constants = exponent_report(30)

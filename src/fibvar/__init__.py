@@ -5,13 +5,11 @@ from .casework import (
     CaseBreakdown,
     CaseReport,
     case_breakdown,
-    count_window,
     verify_cases,
     w_bruteforce,
 )
 from .closed_form import (
     ClosedFormSolution,
-    asymptotic_constant,
     build_trace_system,
     closed_form_v,
     embed_coefficients,
@@ -59,13 +57,11 @@ __all__ = [
     "SingularMatrixError",
     "VARIANCE_RECURRENCE",
     "ZeckendorfRepr",
-    "asymptotic_constant",
     "build_trace_system",
     "case_breakdown",
     "check_carlitz",
     "check_sqrt_bound",
     "closed_form_v",
-    "count_window",
     "distinct_fib_upto",
     "embed_coefficients",
     "exponent_report",

@@ -11,7 +11,6 @@ the figure data tabulates both normalizations
 for H = 1..h_max as CSV rows.
 """
 
-import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -21,7 +20,6 @@ import numpy as np
 
 from .exact import isolate_real_roots
 from .moments import moment_table
-from .partitions import DEFAULT_MEMORY_BUDGET
 
 CSV_HEADER = "H,V,norm_cs,norm_main"
 
@@ -65,14 +63,12 @@ def _fixed12(x: float) -> str:
     )
 
 
-def write_figure_csv(
-    h_max: int, out: TextIO = sys.stdout, budget: int = DEFAULT_MEMORY_BUDGET
-) -> None:
+def write_figure_csv(h_max: int, out: TextIO) -> None:
     """Emit the figure table as CSV (UTF-8 text, LF lines, 12 significant digits)."""
     if h_max < 1:
         raise ValueError(f"h_max must be >= 1, got {h_max}")
     constants = exponent_report(30)
-    moments = moment_table(h_max, budget=budget)
+    moments = moment_table(h_max)
     v = moments.v[1:]  # rows run H = 1..h_max
     log_h = np.log(np.arange(1, h_max + 1, dtype=np.float64))
     v_float = v.astype(np.float64)

@@ -33,49 +33,66 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="fibvar", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def add(name, help_text):
-        return sub.add_parser(name, help=help_text)
+    def add(name, handler, help_text):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = add("r", "print R(n), the number of partitions of n into distinct Fibonacci values")
+    p = add(
+        "r", _cmd_r,
+        "print R(n), the number of partitions of n into distinct Fibonacci values",
+    )
     p.add_argument("--n", type=int, required=True)
 
-    p = add("zeckendorf", "print the Zeckendorf decomposition of n")
+    p = add("zeckendorf", _cmd_zeckendorf, "print the Zeckendorf decomposition of n")
     p.add_argument("--n", type=int, required=True)
 
-    p = add("table", "CSV of n,R(n) for 0 <= n <= h-max")
+    p = add("table", _cmd_table, "CSV of n,R(n) for 0 <= n <= h-max")
     p.add_argument("--h-max", type=int, required=True)
 
-    p = add("moments", "CSV of n,R(n),A(n),V(n) for 0 <= n <= h-max")
+    p = add("moments", _cmd_moments, "CSV of n,R(n),A(n),V(n) for 0 <= n <= h-max")
     p.add_argument("--h-max", type=int, required=True)
 
-    p = add("verify-lemma", "check the five-term recurrence for V(F_m) on a range of m")
+    p = add(
+        "verify-lemma", _cmd_verify_lemma,
+        "check the five-term recurrence for V(F_m) on a range of m",
+    )
     p.add_argument("--from", dest="m_lo", type=int, default=7)
     p.add_argument("--to", dest="m_hi", type=int, required=True)
 
-    p = add("verify-cases", "brute-force the five-way case decomposition on a range of m")
+    p = add(
+        "verify-cases", _cmd_verify_cases,
+        "brute-force the five-way case decomposition on a range of m",
+    )
     p.add_argument("--from", dest="m_lo", type=int, default=7)
     p.add_argument("--to", dest="m_hi", type=int, required=True)
 
-    p = add("verify-w", "compare the brute-forced auxiliary count w_m with its closed form")
+    p = add(
+        "verify-w", _cmd_verify_w,
+        "compare the brute-forced auxiliary count w_m with its closed form",
+    )
     p.add_argument("--from", dest="m_lo", type=int, default=7)
     p.add_argument("--to", dest="m_hi", type=int, required=True)
 
-    p = add("solve", "solve the recurrence exactly and print the coefficients")
+    p = add("solve", _cmd_solve, "solve the recurrence exactly and print the coefficients")
     p.add_argument("--precision", type=int, default=30)
 
-    p = add("closed-form", "evaluate the exact closed form of V(F_m)")
+    p = add("closed-form", _cmd_closed_form, "evaluate the exact closed form of V(F_m)")
     p.add_argument("--m", type=int, required=True)
 
-    p = add("exponents", "print phi, lambda, and the variance growth exponents")
+    p = add("exponents", _cmd_exponents, "print phi, lambda, and the variance growth exponents")
     p.add_argument("--precision", type=int, default=30)
 
-    p = add("figure", "CSV of H,V,norm_cs,norm_main for 1 <= H <= h-max")
+    p = add("figure", _cmd_figure, "CSV of H,V,norm_cs,norm_main for 1 <= H <= h-max")
     p.add_argument("--h-max", type=int, required=True)
 
-    p = add("check-carlitz", "check R(F_m) = floor(m/2) for 2 <= m <= to")
+    p = add("check-carlitz", _cmd_check_carlitz, "check R(F_m) = floor(m/2) for 2 <= m <= to")
     p.add_argument("--to", dest="m_max", type=int, required=True)
 
-    p = add("check-sqrt-bound", "check R(n) <= sqrt(n+1) and its equality set up to h-max")
+    p = add(
+        "check-sqrt-bound", _cmd_check_sqrt_bound,
+        "check R(n) <= sqrt(n+1) and its equality set up to h-max",
+    )
     p.add_argument("--h-max", type=int, required=True)
 
     return parser
@@ -130,27 +147,25 @@ def _m_range(args) -> range:
     return range(args.m_lo, args.m_hi + 1)
 
 
+# Both range commands compute every row before printing any, so a range that
+# runs past the enumeration budget exits with no partial output.
 def _cmd_verify_cases(args) -> int:
-    all_ok = True
-    for m in _m_range(args):
-        report = casework.verify_cases(m)
+    reports = [casework.verify_cases(m) for m in _m_range(args)]
+    for report in reports:
         detail = " ".join(f"{c.name}={c.actual}/{c.expected}" for c in report.checks)
-        print(f"m={m} {detail} {'PASS' if report.passed else 'FAIL'}")
-        all_ok &= report.passed
-    print(f"verify-cases: {'PASS' if all_ok else 'FAIL'}")
-    return EXIT_OK if all_ok else EXIT_VERIFY
+        print(f"m={report.m} {detail} {'PASS' if report.passed else 'FAIL'}")
+    ok = all(report.passed for report in reports)
+    print(f"verify-cases: {'PASS' if ok else 'FAIL'}")
+    return EXIT_OK if ok else EXIT_VERIFY
 
 
 def _cmd_verify_w(args) -> int:
-    all_ok = True
-    for m in _m_range(args):
-        brute = casework.w_bruteforce(m)
-        closed = moments.w_closed_form(m)
-        ok = brute == closed
-        all_ok &= ok
-        print(f"m={m} brute={brute} closed={closed} {'PASS' if ok else 'FAIL'}")
-    print(f"verify-w: {'PASS' if all_ok else 'FAIL'}")
-    return EXIT_OK if all_ok else EXIT_VERIFY
+    rows = [(m, casework.w_bruteforce(m), moments.w_closed_form(m)) for m in _m_range(args)]
+    for m, brute, closed in rows:
+        print(f"m={m} brute={brute} closed={closed} {'PASS' if brute == closed else 'FAIL'}")
+    ok = all(brute == closed for _, brute, closed in rows)
+    print(f"verify-w: {'PASS' if ok else 'FAIL'}")
+    return EXIT_OK if ok else EXIT_VERIFY
 
 
 def _cmd_solve(args) -> int:
@@ -215,23 +230,6 @@ def _cmd_check_sqrt_bound(args) -> int:
     return EXIT_OK if passed else EXIT_VERIFY
 
 
-_HANDLERS = {
-    "r": _cmd_r,
-    "zeckendorf": _cmd_zeckendorf,
-    "table": _cmd_table,
-    "moments": _cmd_moments,
-    "verify-lemma": _cmd_verify_lemma,
-    "verify-cases": _cmd_verify_cases,
-    "verify-w": _cmd_verify_w,
-    "solve": _cmd_solve,
-    "closed-form": _cmd_closed_form,
-    "exponents": _cmd_exponents,
-    "figure": _cmd_figure,
-    "check-carlitz": _cmd_check_carlitz,
-    "check-sqrt-bound": _cmd_check_sqrt_bound,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -239,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except _UsageError as exc:
         parser.print_usage(sys.stderr)
         print(f"fibvar: error: {exc}", file=sys.stderr)

@@ -122,10 +122,3 @@ def embed_coefficients(
         c3 = +(Decimal(sol.c3.numerator) / Decimal(sol.c3.denominator))
         c4 = +(Decimal(sol.c4.numerator) / Decimal(sol.c4.denominator))
     return c1, c2, c3, c4, c5
-
-
-def asymptotic_constant(sol: ClosedFormSolution, digits: int = 30) -> Decimal:
-    """The dominant coefficient c_1: V(F_m) / lambda_1^m tends to it."""
-    with localcontext() as ctx:
-        ctx.prec = digits
-        return +sol.c_field.embed(sol.lambda1.value)

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fibonacci import fib
-from .partitions import DEFAULT_MEMORY_BUDGET, CountTable, r_table
+from .partitions import CountTable, r_table
 
 
 @dataclass(frozen=True)
@@ -51,19 +51,17 @@ def moments_from_counts(counts: CountTable) -> MomentTable:
     return MomentTable(h_max=counts.h_max, a=a, v=v)
 
 
-def moment_table(h_max: int, budget: int = DEFAULT_MEMORY_BUDGET) -> MomentTable:
+def moment_table(h_max: int) -> MomentTable:
     """Build A and V over [0, h_max]."""
-    return moments_from_counts(r_table(h_max, budget=budget))
+    return moments_from_counts(r_table(h_max))
 
 
-def v_at_fib(m: int, moments: MomentTable | None = None) -> int:
+def v_at_fib(m: int) -> int:
     """V(F_m) for m >= 2."""
     if m < 2:
         raise ValueError(f"V(F_m) needs m >= 2, got {m}")
     h = fib(m)
-    if moments is None:
-        moments = moment_table(h)
-    return moments.v_at(h)
+    return moment_table(h).v_at(h)
 
 
 @dataclass(frozen=True)
@@ -79,14 +77,11 @@ class FibMomentSeries:
         return self.values[m]
 
 
-def fib_moment_series(
-    m_max: int, moments: MomentTable | None = None, budget: int = DEFAULT_MEMORY_BUDGET
-) -> FibMomentSeries:
+def fib_moment_series(m_max: int) -> FibMomentSeries:
     """Extract V at every Fibonacci checkpoint up to F_m_max from one table."""
     if m_max < 2:
         raise ValueError(f"m_max must be >= 2, got {m_max}")
-    if moments is None:
-        moments = moment_table(fib(m_max), budget=budget)
+    moments = moment_table(fib(m_max))
     values = [0, 0] + [moments.v_at(fib(m)) for m in range(2, m_max + 1)]
     return FibMomentSeries(m_max=m_max, values=tuple(values))
 
@@ -119,12 +114,13 @@ class LemmaRow(NamedTuple):
     m: int
     lhs: int
     rhs: int
-    equal: bool
+
+    @property
+    def equal(self) -> bool:
+        return self.lhs == self.rhs
 
 
-def verify_lemma(
-    m_lo: int, m_hi: int, budget: int = DEFAULT_MEMORY_BUDGET
-) -> list[LemmaRow]:
+def verify_lemma(m_lo: int, m_hi: int) -> list[LemmaRow]:
     """Compare V(F_m) from the tables against the five-term recurrence.
 
     The left side is the DP value; the right side is VARIANCE_RECURRENCE
@@ -135,13 +131,11 @@ def verify_lemma(
         raise ValueError(f"the recurrence needs m >= 7, got m_lo={m_lo}")
     if m_hi < m_lo:
         raise ValueError(f"empty range [{m_lo}, {m_hi}]")
-    series = fib_moment_series(m_hi, budget=budget)
-    rows = []
-    for m in range(m_lo, m_hi + 1):
-        lhs = series.v(m)
-        rhs = VARIANCE_RECURRENCE.step(series.values[m - 5 : m], m)
-        rows.append(LemmaRow(m, lhs, rhs, lhs == rhs))
-    return rows
+    series = fib_moment_series(m_hi)
+    return [
+        LemmaRow(m, series.v(m), VARIANCE_RECURRENCE.step(series.values[m - 5 : m], m))
+        for m in range(m_lo, m_hi + 1)
+    ]
 
 
 def w_closed_form(
@@ -166,5 +160,6 @@ def w_closed_form(
         - counts.count(fib(m - 5))
         - moments.v_at(fib(m - 5))
     )
-    assert value >= 0
+    if value < 0:
+        raise RuntimeError(f"w_{m} came out as {value} < 0: the count and moment tables disagree")
     return value

@@ -3,9 +3,10 @@
 R(n) is the number of ways to write n as a sum of strictly increasing
 Fibonacci values (OEIS A000119), with R(0) = 1 for the empty sum and
 R(n) = 0 for n < 0.  Tables are built by the standard distinct-parts
-subset-count DP and stored as int64 arrays, which is exact throughout the
-supported budget: R(n) <= sqrt(n+1), so counts stay far below 2**63 for
-any table of at most 10**8 entries.
+subset-count DP and stored as int64 arrays.  r_table refuses any table of
+more than MAX_TABLE_ENTRIES entries, and below that cap int64 is exact for
+the counts and for their moments: R(n)**2 <= n+1, so even
+V(H) = sum_{n<=H} R(n)**2 <= (H+1)(H+2)/2 stays far below 2**63.
 """
 
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ import numpy as np
 from .errors import BudgetError
 from .fibonacci import distinct_fib_upto, fib
 
-DEFAULT_MEMORY_BUDGET = 10**8  # table entries
+MAX_TABLE_ENTRIES = 10**8
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,7 @@ class CountTable:
         return int(self.r[n])
 
 
-def r_table(h_max: int, budget: int = DEFAULT_MEMORY_BUDGET) -> CountTable:
+def r_table(h_max: int) -> CountTable:
     """Tabulate R(0..h_max) by iterating each distinct Fibonacci value once.
 
     The vectorized update r[v:] += r[:-v] reads pre-update values (numpy
@@ -44,9 +45,9 @@ def r_table(h_max: int, budget: int = DEFAULT_MEMORY_BUDGET) -> CountTable:
     """
     if h_max < 0:
         raise ValueError(f"h_max must be >= 0, got {h_max}")
-    if h_max + 1 > budget:
+    if h_max + 1 > MAX_TABLE_ENTRIES:
         raise BudgetError(
-            f"table of {h_max + 1} entries exceeds the budget of {budget}"
+            f"table of {h_max + 1} entries exceeds the budget of {MAX_TABLE_ENTRIES}"
         )
     r = np.zeros(h_max + 1, dtype=np.int64)
     r[0] = 1
@@ -55,31 +56,29 @@ def r_table(h_max: int, budget: int = DEFAULT_MEMORY_BUDGET) -> CountTable:
     return CountTable(h_max=h_max, r=r)
 
 
-def r(n: int, budget: int = DEFAULT_MEMORY_BUDGET) -> int:
+def r(n: int) -> int:
     """R(n) for a single argument; negative n gives 0."""
     if n < 0:
         return 0
-    return r_table(n, budget=budget).count(n)
+    return r_table(n).count(n)
 
 
 class CarlitzRow(NamedTuple):
     m: int
     r_fib: int
     expected: int
-    ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.r_fib == self.expected
 
 
-def check_carlitz(m_max: int, budget: int = DEFAULT_MEMORY_BUDGET) -> list[CarlitzRow]:
+def check_carlitz(m_max: int) -> list[CarlitzRow]:
     """Check Carlitz's identity R(F_m) = floor(m/2) for 2 <= m <= m_max."""
     if m_max < 2:
         raise ValueError(f"m_max must be >= 2, got {m_max}")
-    table = r_table(fib(m_max), budget=budget)
-    rows = []
-    for m in range(2, m_max + 1):
-        got = table.count(fib(m))
-        want = m // 2
-        rows.append(CarlitzRow(m, got, want, got == want))
-    return rows
+    table = r_table(fib(m_max))
+    return [CarlitzRow(m, table.count(fib(m)), m // 2) for m in range(2, m_max + 1)]
 
 
 class SqrtBoundResult(NamedTuple):
@@ -87,15 +86,13 @@ class SqrtBoundResult(NamedTuple):
     equality_positions: list[int]
 
 
-def check_sqrt_bound(
-    h_max: int, budget: int = DEFAULT_MEMORY_BUDGET
-) -> SqrtBoundResult:
+def check_sqrt_bound(h_max: int) -> SqrtBoundResult:
     """Check R(n) <= sqrt(n+1) on [0, h_max] and locate the equality cases.
 
     Passes iff the bound holds everywhere and equality happens exactly at
     n = F_m**2 - 1 for Fibonacci numbers F_m, m >= 2.
     """
-    table = r_table(h_max, budget=budget)
+    table = r_table(h_max)
     n_plus_1 = np.arange(1, h_max + 2, dtype=np.int64)
     squares = table.r * table.r
     bound_ok = bool(np.all(squares <= n_plus_1))

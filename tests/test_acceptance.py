@@ -14,7 +14,6 @@ from fibvar.analysis import exponent_report, write_figure_csv
 from fibvar.casework import verify_cases
 from fibvar.closed_form import (
     VARIANCE_RECURRENCE,
-    asymptotic_constant,
     closed_form_v,
     embed_coefficients,
     solve_closed_form,
@@ -136,7 +135,7 @@ def test_criterion_08_asymptotics():
         sol = solve_closed_form(precision_digits=40)
         with localcontext() as ctx:
             ctx.prec = 50
-            c1 = asymptotic_constant(sol, digits=50)
+            c1 = embed_coefficients(sol, digits=50)[0]
             lam1 = sol.lambda1.value
             return Decimal(v30) / (c1 * lam1**30)
 

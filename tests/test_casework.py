@@ -1,33 +1,14 @@
 import pytest
 
 from fibvar.casework import (
+    CaseCheck,
+    CaseReport,
     case_breakdown,
-    count_window,
     verify_cases,
     w_bruteforce,
 )
 from fibvar.errors import BudgetError
 from fibvar.moments import v_at_fib, w_closed_form
-
-
-def test_count_window_small():
-    assert count_window(4) == 4  # V(3) - V(2)
-    assert count_window(5) == 5  # V(5) - V(3)
-    assert count_window(7) == 27  # V(13) - V(8) = 53 - 26
-
-
-@pytest.mark.parametrize("m", range(7, 14))
-def test_count_window_equals_moment_difference(m):
-    assert count_window(m) == v_at_fib(m) - v_at_fib(m - 1)
-
-
-def test_count_window_domain_and_budget():
-    with pytest.raises(ValueError):
-        count_window(3)
-    with pytest.raises(BudgetError):
-        count_window(21)
-    with pytest.raises(BudgetError):
-        count_window(12, budget=10)
 
 
 def test_w_bruteforce_matches_closed_form():
@@ -64,6 +45,13 @@ def test_verify_cases_passes(m):
     if m == 7:
         assert by_name["case2"].expected == 11  # V(F_5) - 1
         assert by_name["case4"].expected == 4  # 2 R(F_5)
+
+
+def test_case_verdicts_follow_their_sides():
+    good, bad = CaseCheck("case1", 1, 1), CaseCheck("case2", 10, 11)
+    assert good.ok and not bad.ok
+    assert CaseReport(7, (good,)).passed
+    assert not CaseReport(7, (good, bad)).passed
 
 
 def test_verify_cases_needs_room_for_w_next():

@@ -66,7 +66,7 @@ def test_verify_lemma_rejects_small_from(capsys):
 
 
 def test_verify_lemma_failure_exit_code(capsys, monkeypatch):
-    fake = [LemmaRow(7, 53, 52, False)]
+    fake = [LemmaRow(7, 53, 52)]
     monkeypatch.setattr(cli.moments, "verify_lemma", lambda *a, **k: fake)
     code, out, _ = run_cli(capsys, "verify-lemma", "--to", "7")
     assert code == 2
@@ -162,6 +162,20 @@ def test_no_subcommand_is_usage_error(capsys):
 def test_budget_exceeded_exit_code(capsys):
     code, _, err = run_cli(capsys, "figure", "--h-max", str(10**9))
     assert code == 3
+    assert "budget" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-cases", "--from", "19", "--to", "20"],
+        ["verify-w", "--from", "19", "--to", "21"],
+    ],
+)
+def test_range_past_enumeration_budget_prints_nothing(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
     assert "budget" in err
 
 

@@ -5,7 +5,6 @@ import pytest
 import sympy as sp
 
 from fibvar.closed_form import (
-    asymptotic_constant,
     build_trace_system,
     closed_form_v,
     embed_coefficients,
@@ -99,7 +98,6 @@ def test_coefficient_embeddings(solution):
 
 def test_dominant_coefficient_sits_at_largest_root(solution):
     c1 = embed_coefficients(solution, digits=30)[0]
-    assert asymptotic_constant(solution) == c1
     assert c1 > 0
     assert solution.lambda1.value > abs(solution.lambda2.value) > solution.lambda5.value
 
@@ -148,7 +146,7 @@ def test_closed_form_rejects_small_m(solution):
 
 
 def test_asymptotic_ratio_at_25(solution):
-    c1 = asymptotic_constant(solution, digits=40)
+    c1 = embed_coefficients(solution, digits=40)[0]
     lam1 = solution.lambda1.value
     ratio = Decimal(v_at_fib(25)) / (c1 * lam1**25)
     assert abs(ratio - 1) < Decimal("1e-3")

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from fibvar.moments import (
+    MomentTable,
     moment_table,
     v_at_fib,
     verify_lemma,
     w_closed_form,
 )
+from fibvar.partitions import r_table
 
 INITIAL = (2, 3, 7, 12, 26)  # V(F_2)..V(F_6)
 
@@ -90,3 +92,9 @@ def test_w_closed_form_values():
 def test_w_closed_form_rejects_small_m():
     with pytest.raises(ValueError):
         w_closed_form(6)
+
+
+def test_w_closed_form_rejects_inconsistent_tables():
+    zeros = np.zeros(4, dtype=np.int64)
+    with pytest.raises(RuntimeError, match="w_7"):
+        w_closed_form(7, counts=r_table(3), moments=MomentTable(3, a=zeros, v=zeros))

@@ -5,7 +5,7 @@ import pytest
 
 from fibvar.errors import BudgetError
 from fibvar.fibonacci import distinct_fib_upto, fib
-from fibvar.partitions import check_carlitz, check_sqrt_bound, r, r_table
+from fibvar.partitions import CarlitzRow, check_carlitz, check_sqrt_bound, r, r_table
 
 
 def brute_force_counts(h_max):
@@ -75,6 +75,11 @@ def test_check_carlitz_rows():
     assert (by_m[10].r_fib, by_m[10].expected) == (5, 5)
 
 
+def test_carlitz_verdict_follows_its_sides():
+    assert CarlitzRow(4, 2, 2).ok
+    assert not CarlitzRow(5, 3, 2).ok
+
+
 def test_check_carlitz_rejects_small_m():
     with pytest.raises(ValueError):
         check_carlitz(1)
@@ -90,6 +95,6 @@ def test_check_sqrt_bound_examples():
 
 def test_budget_errors():
     with pytest.raises(BudgetError):
-        r_table(100, budget=50)
+        r_table(10**8)
     with pytest.raises(ValueError):
         r_table(-1)

@@ -8,7 +8,16 @@ the figure data tabulates both normalizations
     norm_cs   = V(H) * H^(1 - 2*lambda)
     norm_main = V(H) * H^(-log(lambda_1)/log(phi))
 
-for H = 1..h_max as CSV rows.
+for H = 1..h_max as CSV rows.  Each float cell is what
+np.format_float_positional(x, precision=12, unique=False, fractional=False,
+trim="k") prints: 12 significant digits in fixed point, except that this
+Dragon4 rule drops trailing zeros that come from a carry or from an exact
+short value, so 0.54278452084 has 11 digits, 0.5 prints as 0.50000000000
+and 0.1 as 0.100000000000.  Where "%#.12g" gives fixed point ending in a
+nonzero digit the two agree, and the writer uses it as the fast path.
+
+write_csv is the one CSV row writer of the package: the CLI's tables go
+through it as well.
 """
 
 from dataclasses import dataclass
@@ -57,10 +66,37 @@ def exponent_report(precision: int = 30) -> AsymptoticConstants:
 
 
 def _fixed12(x: float) -> str:
-    # fixed-point, exactly 12 significant digits
-    return np.format_float_positional(
-        x, precision=12, unique=False, fractional=False, trim="k"
-    )
+    s = "%#.12g" % x
+    if s[-1] == "0" or "e" in s:
+        return np.format_float_positional(
+            x, precision=12, unique=False, fractional=False, trim="k"
+        )
+    return s
+
+
+CSV_CHUNK_ROWS = 1 << 14
+
+
+def _cells(column):
+    if isinstance(column, range):
+        return column
+    if column.dtype.kind == "f":
+        return map(_fixed12, column.tolist())
+    return column.tolist()
+
+
+def write_csv(out: TextIO, header: str, columns) -> None:
+    """Write header, then row i as the i-th entries of columns joined by commas.
+
+    A column is a range or a numpy array; integers print in decimal, floats
+    by the 12-digit rule above.  Rows are built and written CSV_CHUNK_ROWS
+    at a time.
+    """
+    row = ",".join(["%s"] * len(columns)) + "\n"
+    out.write(header + "\n")
+    for lo in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+        chunk = [_cells(c[lo : lo + CSV_CHUNK_ROWS]) for c in columns]
+        out.write("".join([row % cells for cells in zip(*chunk)]))
 
 
 def write_figure_csv(h_max: int, out: TextIO) -> None:
@@ -68,14 +104,9 @@ def write_figure_csv(h_max: int, out: TextIO) -> None:
     if h_max < 1:
         raise ValueError(f"h_max must be >= 1, got {h_max}")
     constants = exponent_report(30)
-    moments = moment_table(h_max)
-    v = moments.v[1:]  # rows run H = 1..h_max
+    v = moment_table(h_max).v[1:]  # rows run H = 1..h_max
     log_h = np.log(np.arange(1, h_max + 1, dtype=np.float64))
     v_float = v.astype(np.float64)
     norm_cs = v_float * np.exp(-float(constants.exponent_cs) * log_h)
     norm_main = v_float * np.exp(-float(constants.exponent_main) * log_h)
-    out.write(CSV_HEADER + "\n")
-    for i in range(h_max):
-        out.write(
-            f"{i + 1},{int(v[i])},{_fixed12(float(norm_cs[i]))},{_fixed12(float(norm_main[i]))}\n"
-        )
+    write_csv(out, CSV_HEADER, [range(1, h_max + 1), v, norm_cs, norm_main])

@@ -14,7 +14,7 @@ pair falls into exactly one of five cases according to the two largest parts
     5. {F_{m-1}, F_{m-2}} split          -> 2 (w_{m+1} - R(F_{m-3}))
 
 Everything here is exhaustive enumeration over subsets, deliberately
-independent of the DP tables, so the case formulas (and the closed form of
+independent of the count tables, so the case formulas (and the closed form of
 the auxiliary count w_m) are checked against raw counting.
 """
 

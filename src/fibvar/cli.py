@@ -115,18 +115,14 @@ def _cmd_zeckendorf(args) -> int:
 
 def _cmd_table(args) -> int:
     table = partitions.r_table(args.h_max)
-    print("n,R")
-    for n in range(args.h_max + 1):
-        print(f"{n},{table.count(n)}")
+    analysis.write_csv(sys.stdout, "n,R", [range(args.h_max + 1), table.r])
     return EXIT_OK
 
 
 def _cmd_moments(args) -> int:
     counts = partitions.r_table(args.h_max)
     mom = moments.moments_from_counts(counts)
-    print("n,R,A,V")
-    for n in range(args.h_max + 1):
-        print(f"{n},{counts.count(n)},{mom.a_at(n)},{mom.v_at(n)}")
+    analysis.write_csv(sys.stdout, "n,R,A,V", [range(args.h_max + 1), counts.r, mom.a, mom.v])
     return EXIT_OK
 
 

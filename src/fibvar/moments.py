@@ -45,9 +45,10 @@ class MomentTable:
 
 
 def moments_from_counts(counts: CountTable) -> MomentTable:
-    """One streaming pass over an existing count table."""
-    a = np.cumsum(counts.r, dtype=np.int64)
-    v = np.cumsum(counts.r * counts.r, dtype=np.int64)
+    """Prefix sums of an existing count table; V is squared and summed in place."""
+    a = np.cumsum(counts.r)
+    v = np.square(counts.r)
+    np.cumsum(v, out=v)
     return MomentTable(h_max=counts.h_max, a=a, v=v)
 
 
@@ -123,7 +124,7 @@ class LemmaRow(NamedTuple):
 def verify_lemma(m_lo: int, m_hi: int) -> list[LemmaRow]:
     """Compare V(F_m) from the tables against the five-term recurrence.
 
-    The left side is the DP value; the right side is VARIANCE_RECURRENCE
+    The left side is the table value; the right side is VARIANCE_RECURRENCE
     applied to the five preceding checkpoint values.  The recurrence only
     holds from m = 7, so smaller m_lo is a domain error.
     """

@@ -1,9 +1,12 @@
 import io
 from decimal import Decimal
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from fibvar.analysis import CSV_HEADER, exponent_report, write_figure_csv
+from fibvar.analysis import CSV_HEADER, _fixed12, exponent_report, write_figure_csv
 from fibvar.errors import BudgetError
 from fibvar.fibonacci import fib
 from fibvar.moments import moment_table
@@ -55,6 +58,31 @@ def test_csv_shape_and_formatting():
     for cell in rows[54].split(",")[2:]:
         digits = cell.replace("-", "").replace(".", "").lstrip("0")
         assert len(digits) == 12
+
+
+def _dragon4_12(x):
+    return np.format_float_positional(x, precision=12, unique=False, fractional=False, trim="k")
+
+
+@pytest.mark.parametrize(
+    "x, text",
+    [
+        (0.54278452084, "0.54278452084"),  # rounds up into a trailing zero, which is dropped
+        (0.5427845208400001, "0.542784520840"),
+        (0.5, "0.50000000000"),
+        (0.1, "0.100000000000"),
+        (2.0, "2.00000000000"),
+        (10.0, "10.0000000000"),
+    ],
+)
+def test_figure_cells_follow_the_dragon4_rule(x, text):
+    assert _dragon4_12(x) == text
+    assert _fixed12(x) == text
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_figure_cells_match_dragon4_on_any_float(x):
+    assert _fixed12(x) == _dragon4_12(x)
 
 
 def test_csv_determinism():

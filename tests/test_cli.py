@@ -1,10 +1,11 @@
+import hashlib
 import subprocess
 import sys
 from decimal import Decimal
 
 import pytest
 
-from fibvar import cli
+from fibvar import analysis, cli
 from fibvar.closed_form import closed_form_v
 from fibvar.moments import LemmaRow
 
@@ -49,6 +50,25 @@ def test_moments_subcommand(capsys):
     code, out, _ = run_cli(capsys, "moments", "--h-max", "3")
     assert code == 0
     assert out.splitlines() == ["n,R,A,V", "0,1,1,1", "1,1,2,2", "2,1,3,3", "3,2,5,7"]
+
+
+# digests of the CSVs as the per-row print loops wrote them
+CSV_SHA256 = {
+    ("table", 1): "54c12e2db23e9be0b111a61674d8b2d99e8b185cf285cb2965e9afe68ca3f71e",
+    ("moments", 1): "3d1e15ee47e6058bb6b773857d8d4d3050935d82dd6b8cadb764c41e7b4b6d58",
+    ("figure", 1): "825ba02b82c3fcb39e1a9873c796eb35d9d0ec43f3811baec364a49ba79a9fd2",
+    ("table", 40000): "46a4bd1fe45730bb1af8fe45ecbcb48ecdb479ebb32acfcc1fff8583e2f6e80e",
+    ("moments", 40000): "43f59ff7bfc2de8c68e705868127a52cef076c52119d7a093c6ac4e2f5bd33be",
+    ("figure", 40000): "cf241bec77d9e254e50b2d502f332818244366d73ac6ce27396bd168c1dbc78f",
+}
+
+
+@pytest.mark.parametrize("command, h_max", sorted(CSV_SHA256))
+def test_csv_output_is_pinned(capsys, command, h_max):
+    assert h_max == 1 or h_max > 2 * analysis.CSV_CHUNK_ROWS  # rows span several chunks
+    code, out, _ = run_cli(capsys, command, "--h-max", str(h_max))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CSV_SHA256[command, h_max]
 
 
 def test_verify_lemma_passes(capsys):

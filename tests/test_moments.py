@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,17 @@ def test_moment_table_small_values():
     assert mt.a_at(3) == 5
     assert mt.v_at(3) == 7
     assert mt.v_at(8) == 26
+
+
+def test_moment_table_peak_memory_is_r_a_and_v():
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        mt = moment_table(10**6)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.05 * mt.v.nbytes
 
 
 def test_moment_arrays_strictly_increase():

@@ -1,11 +1,16 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibvar.errors import BudgetError
 from fibvar.fibonacci import distinct_fib_upto, fib
 from fibvar.partitions import CarlitzRow, check_carlitz, check_sqrt_bound, r, r_table
+
+FIB_K_MAX = 33  # F_33 = 3524578
 
 
 def brute_force_counts(h_max):
@@ -17,6 +22,24 @@ def brute_force_counts(h_max):
     return [cnt[n] for n in range(h_max + 1)]
 
 
+def subset_dp_counts(h_max):
+    """Reference oracle: the distinct-parts subset-count DP, one pass per value.
+
+    r[v:] += r[:-v] reads the values from before the pass (numpy copies the
+    overlapping operand), which is the downward sweep of the 0/1 knapsack.
+    """
+    r = np.zeros(h_max + 1, dtype=np.int64)
+    r[0] = 1
+    for v in distinct_fib_upto(h_max):
+        r[v:] += r[:-v]
+    return r
+
+
+@pytest.fixture(scope="module")
+def dp_past_f33():
+    return subset_dp_counts(fib(FIB_K_MAX) + 1)
+
+
 def test_small_table_matches_enumeration():
     assert list(r_table(3).r) == [1, 1, 1, 2]
 
@@ -24,6 +47,35 @@ def test_small_table_matches_enumeration():
 def test_oracle_equivalence_to_2000(counts_2000):
     expected = brute_force_counts(2000)
     assert counts_2000.r.tolist() == expected
+
+
+def test_block_table_matches_subset_dp_to_3000():
+    for h in range(3001):
+        assert np.array_equal(r_table(h).r, subset_dp_counts(h)), h
+
+
+def test_block_table_matches_subset_dp_around_fibonacci_numbers(dp_past_f33):
+    for k in range(1, FIB_K_MAX + 1):
+        for h in range(max(fib(k) - 2, 0), fib(k) + 2):
+            assert np.array_equal(r_table(h).r, dp_past_f33[: h + 1]), (k, h)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=2 * 10**6))
+def test_block_table_matches_subset_dp_at_random_sizes(dp_past_f33, h):
+    # a DP table over [0, H] is the prefix of any longer one
+    assert np.array_equal(r_table(h).r, dp_past_f33[: h + 1])
+
+
+def test_r_table_peak_memory_is_the_table():
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        table = r_table(10**6)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * table.r.nbytes
 
 
 def test_single_point_queries():

@@ -10,14 +10,17 @@ the figure data tabulates both normalizations
 
 for H = 1..h_max as CSV rows.  Each float cell is what
 np.format_float_positional(x, precision=12, unique=False, fractional=False,
-trim="k") prints: 12 significant digits in fixed point, except that this
-Dragon4 rule drops trailing zeros that come from a carry or from an exact
-short value, so 0.54278452084 has 11 digits, 0.5 prints as 0.50000000000
-and 0.1 as 0.100000000000.  Where "%#.12g" gives fixed point ending in a
-nonzero digit the two agree, and the writer uses it as the fast path.
+trim="k") prints, a Dragon4 rule: for 10^e <= x < 10^(e+1) with the 12-digit
+mantissa m = rint(x * 10^(11-e)) it is "%#.12g" % x when e >= 0; when e < 0,
+up to -e trailing zeros of m are dropped if m was rounded up or is exact, so
+0.54278452084 keeps 11 digits, 0.5 prints 0.50000000000, 0.1 0.100000000000.
 
-write_csv is the one CSV row writer of the package: the CLI's tables go
-through it as well.
+write_csv, the one CSV writer, applies that rule to whole columns, e from log10
+and the scale an exact power of ten, and writes each chunk of rows from one
+numpy byte matrix.  Cells it cannot decide take the exact route _fixed12: x
+not finite or <= 0, e outside [-4, 11] or misjudged by log10, m = 10^12 from
+a carry, x * 10^(11-e) within 1e-3 of a half-integer, or, for e < 0, m ending
+in 0 with x * 10^(11-e) within 1e-3 of m.
 """
 
 from dataclasses import dataclass
@@ -74,29 +77,91 @@ def _fixed12(x: float) -> str:
     return s
 
 
-CSV_CHUNK_ROWS = 1 << 14
+CSV_CHUNK_ROWS = 1 << 13  # rows per byte matrix; larger ones leave more heap behind
+_POW10 = np.array([10**k for k in range(1, 20)], dtype=np.uint64)
+_QUADS = (48 + np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10).astype(np.uint8)
+_QUADS = _QUADS.view(np.uint32).ravel()  # 0000..9999, four ASCII digits in one uint32
+_SCALE = np.array([float(10**k) for k in range(16)])  # exact powers of ten
 
 
-def _cells(column):
-    if isinstance(column, range):
-        return column
-    if column.dtype.kind == "f":
-        return map(_fixed12, column.tolist())
-    return column.tolist()
+def _digits(mag: np.ndarray, width: int) -> np.ndarray:
+    """ASCII digits of uint64 magnitudes, right-aligned and zero-padded to width."""
+    quads = np.empty((len(mag), -(-width // 4)), dtype=np.uint32)
+    for k in range(quads.shape[1] - 1, -1, -1):
+        high = mag // 10000
+        quads[:, k] = _QUADS[mag - high * 10000]
+        mag = high
+    return quads.view(np.uint8)[:, 4 * quads.shape[1] - width :]
+
+
+def _int_cells(values: np.ndarray):
+    """Bytes of str(n) for each integer n, right-aligned, and the mask of those used."""
+    neg = values < 0
+    mag = values.astype(np.uint64)
+    mag = np.where(neg, -mag, mag)  # two's complement magnitude, exact for -2^63
+    used = np.searchsorted(_POW10, mag, side="right") + 1 + neg
+    width = int(used.max())
+    chars = _digits(mag, width)
+    chars[neg, width - used[neg]] = ord("-")
+    return chars, np.arange(width) >= (width - used)[:, None]
+
+
+def _float_cells(values: np.ndarray):
+    """Bytes of _fixed12(x) for each float64 x, and the mask of those used."""
+    ok = np.isfinite(values) & (values > 0)
+    x = np.where(ok, values, 1.0)
+    e = np.clip(np.floor(np.log10(x)), -4, 11).astype(np.int64)
+    s = x * _SCALE[11 - e]
+    m = np.rint(s)
+    d = s - m  # exact; > 0 where m was rounded down
+    ok &= (s >= 1e11) & (m < 1e12) & (abs(abs(d) - 0.5) >= 1e-3)  # e right, no carry, no tie
+    e, m = np.where(ok, e, 0), np.where(ok, m, 0.0)
+    mag = m.astype(np.uint64)
+    ok &= (e >= 0) | (mag % 10 != 0) | (abs(d) >= 1e-3)
+    drop = np.zeros(len(x), dtype=np.int64)  # trailing zeros of m to drop, at most -e
+    for k in range(1, 1 - min(int(e.min()), 0)):
+        drop += (d <= 0) & (e <= -k) & (mag % 10**k == 0)
+    places = 11 - e  # digits after the "."
+    whole = np.floor(m / _SCALE[places])  # exact: m < 2^40
+    n_whole, n_frac = max(int(e.max()), 0) + 1, int(places.max())
+    frac = (m - whole * _SCALE[places]) * _SCALE[n_frac - places]  # padded to n_frac digits
+    texts = [_fixed12(v).encode() for v in values[~ok].tolist()]
+    chars = np.empty((len(x), max([n_whole + 1 + n_frac, *map(len, texts)])), dtype=np.uint8)
+    chars[:, :n_whole] = _digits(whole.astype(np.uint64), n_whole)
+    chars[:, n_whole] = ord(".")
+    chars[:, n_whole + 1 : n_whole + 1 + n_frac] = _digits(frac.astype(np.uint64), n_frac)
+    first, end = n_whole - 1 - np.maximum(e, 0), n_whole + 1 + places - drop
+    for i, text in zip(np.flatnonzero(~ok).tolist(), texts):
+        chars[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
+        first[i], end[i] = 0, len(text)
+    col = np.arange(chars.shape[1])
+    return chars, (col >= first[:, None]) & (col < end[:, None])
 
 
 def write_csv(out: TextIO, header: str, columns) -> None:
     """Write header, then row i as the i-th entries of columns joined by commas.
 
-    A column is a range or a numpy array; integers print in decimal, floats
-    by the 12-digit rule above.  Rows are built and written CSV_CHUNK_ROWS
-    at a time.
+    A column is a range or a numpy array of integers or floats, all of one
+    length; integers print in decimal, floats by the 12-digit rule above.
+    Each CSV_CHUNK_ROWS rows become one byte matrix, written at once.
     """
-    row = ",".join(["%s"] * len(columns)) + "\n"
+    n_rows = len(columns[0])
+    if any(len(c) != n_rows for c in columns):
+        raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
     out.write(header + "\n")
-    for lo in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-        chunk = [_cells(c[lo : lo + CSV_CHUNK_ROWS]) for c in columns]
-        out.write("".join([row % cells for cells in zip(*chunk)]))
+    for lo in range(0, n_rows, CSV_CHUNK_ROWS):
+        cells = []
+        for column in columns:
+            part = column[lo : lo + CSV_CHUNK_ROWS]
+            if isinstance(part, range):
+                part = np.arange(part.start, part.stop, part.step)
+            is_float = part.dtype.kind == "f"
+            cells.append(_float_cells(part.astype(np.float64)) if is_float else _int_cells(part))
+        comma = np.full((len(part), 1), ord(","), dtype=np.uint8)
+        rows = np.hstack([a for chars, _ in cells for a in (chars, comma)])
+        keep = np.hstack([a for _, mask in cells for a in (mask, np.ones_like(comma, bool))])
+        rows[:, -1] = ord("\n")
+        out.write(rows[keep].tobytes().decode("ascii"))
 
 
 def write_figure_csv(h_max: int, out: TextIO) -> None:

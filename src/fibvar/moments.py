@@ -33,11 +33,6 @@ class MomentTable:
     a: np.ndarray
     v: np.ndarray
 
-    def a_at(self, n: int) -> int:
-        if not 0 <= n <= self.h_max:
-            raise ValueError(f"n={n} outside table range [0, {self.h_max}]")
-        return int(self.a[n])
-
     def v_at(self, n: int) -> int:
         if not 0 <= n <= self.h_max:
             raise ValueError(f"n={n} outside table range [0, {self.h_max}]")

@@ -3,10 +3,11 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibvar.analysis import CSV_HEADER, _fixed12, exponent_report, write_figure_csv
+from fibvar import analysis
+from fibvar.analysis import CSV_HEADER, _fixed12, exponent_report, write_csv, write_figure_csv
 from fibvar.errors import BudgetError
 from fibvar.fibonacci import fib
 from fibvar.moments import moment_table
@@ -78,11 +79,86 @@ def _dragon4_12(x):
 def test_figure_cells_follow_the_dragon4_rule(x, text):
     assert _dragon4_12(x) == text
     assert _fixed12(x) == text
+    assert _csv_cells(np.array([x])) == [text]
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_figure_cells_match_dragon4_on_any_float(x):
     assert _fixed12(x) == _dragon4_12(x)
+
+
+def _csv_cells(column):
+    out = io.StringIO()
+    write_csv(out, "x", [column])
+    header, *cells, last = out.getvalue().split("\n")
+    assert (header, last) == ("x", "")
+    return cells
+
+
+def _step(x, ulps):
+    return float((np.array([x]).view(np.int64) + ulps).view(np.float64)[0])
+
+
+_ULPS = st.integers(-8, 8)
+_MANTISSAS = st.integers(10**11, 10**12 - 1) | st.integers(10**7, 10**8 - 1).map(
+    lambda q: q * 10**4 + 9999  # rounding up carries through four nines
+) | st.integers(10**7, 10**8 - 1).map(lambda q: q * 10**4)  # ends in zeros
+_CELL_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),  # signs, zeros, subnormals, huge
+    st.builds(_step, st.integers(-6, 13).map(lambda k: 10.0**k), _ULPS),
+    st.builds(_step, st.sampled_from([0.54278452084, 0.0242541429599622]), _ULPS),
+    st.builds(  # near a tie or an exact value in the 12th digit, e from -5 to 12
+        lambda m, frac, e: (m + frac) / 10.0 ** (11 - e),
+        _MANTISSAS,
+        st.floats(0.49, 0.51) | st.floats(-0.01, 0.01) | st.floats(0, 1),
+        st.integers(-5, 12),
+    ),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(_CELL_FLOATS, min_size=1, max_size=40))
+def test_csv_float_cells_match_dragon4(xs):
+    assert _csv_cells(np.array(xs, dtype=np.float64)) == [_dragon4_12(x) for x in xs]
+
+
+_INT64 = st.integers(-(2**63), 2**63 - 1) | st.sampled_from(
+    [0, -1, 9, 10, -10, 99, -100, 10**18 - 1, 10**18, 2**63 - 1, -(2**63), -(2**63) + 1]
+)
+
+
+@given(st.lists(_INT64, min_size=1, max_size=40))
+def test_csv_int_cells_match_str(ns):
+    assert _csv_cells(np.array(ns, dtype=np.int64)) == [str(n) for n in ns]
+
+
+def test_csv_range_column_and_separators():
+    out = io.StringIO()
+    columns = [range(-2, 2), np.array([5, -60, 0, 7]), np.array([0.5, 2.0, -1.0, 1e20])]
+    write_csv(out, "n,x,y", columns)
+    assert out.getvalue() == (
+        "n,x,y\n-2,5,0.50000000000\n-1,-60,2.00000000000\n"
+        "0,0,-1.00000000000\n1,7,100000000000000000000.\n"
+    )
+
+
+def test_csv_rejects_columns_of_different_lengths():
+    out = io.StringIO()
+    with pytest.raises(ValueError):
+        write_csv(out, "a,b", [range(5), np.arange(3)])
+    assert out.getvalue() == ""
+
+
+def test_few_figure_cells_take_the_exact_route(monkeypatch):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return _fixed12(x)
+
+    monkeypatch.setattr(analysis, "_fixed12", counted)
+    write_figure_csv(150000, io.StringIO())
+    assert len(calls) < 0.01 * 2 * 150000
 
 
 def test_csv_determinism():

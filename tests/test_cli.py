@@ -60,6 +60,8 @@ CSV_SHA256 = {
     ("table", 40000): "46a4bd1fe45730bb1af8fe45ecbcb48ecdb479ebb32acfcc1fff8583e2f6e80e",
     ("moments", 40000): "43f59ff7bfc2de8c68e705868127a52cef076c52119d7a093c6ac4e2f5bd33be",
     ("figure", 40000): "cf241bec77d9e254e50b2d502f332818244366d73ac6ce27396bd168c1dbc78f",
+    ("moments", 150000): "9eaa31475941d5d24ef90b2a528a6454bf6d79bb5efaf26dac55c8b4fa4d78ee",
+    ("figure", 150000): "7163dfb96ac25c5d4e8b6ef8c13c347a8b5348f5771dbe01226c39b77bd099b1",
 }
 
 

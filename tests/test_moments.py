@@ -23,12 +23,12 @@ V_AT_FIB = {
 
 def test_moment_table_base():
     mt = moment_table(0)
-    assert mt.a_at(0) == 1 and mt.v_at(0) == 1
+    assert int(mt.a[0]) == 1 and mt.v_at(0) == 1
 
 
 def test_moment_table_small_values():
     mt = moment_table(8)
-    assert mt.a_at(3) == 5
+    assert int(mt.a[3]) == 5
     assert mt.v_at(3) == 7
     assert mt.v_at(8) == 26
 

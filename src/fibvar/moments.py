@@ -74,12 +74,20 @@ class FibMomentSeries:
 
 
 def fib_moment_series(m_max: int) -> FibMomentSeries:
-    """Extract V at every Fibonacci checkpoint up to F_m_max from one table."""
+    """V at every Fibonacci checkpoint up to F_m_max from one R table.
+
+    The table is squared in place (R(n)**2 <= n+1 fits int64) and summed
+    block by block between checkpoints, so the peak is the table's own 8
+    bytes per entry and no V array is built.
+    """
     if m_max < 2:
         raise ValueError(f"m_max must be >= 2, got {m_max}")
-    moments = moment_table(fib(m_max))
-    values = [0, 0] + [moments.v_at(fib(m)) for m in range(2, m_max + 1)]
-    return FibMomentSeries(m_max=m_max, values=tuple(values))
+    squares = r_table(fib(m_max)).r
+    np.multiply(squares, squares, out=squares)
+    # block i sums squares[fib(i+1)+1 .. fib(i+2)], with block 0 = [0, F_2]
+    starts = [0] + [fib(m) + 1 for m in range(2, m_max)]
+    values = np.cumsum(np.add.reduceat(squares, starts))
+    return FibMomentSeries(m_max=m_max, values=(0, 0, *map(int, values)))
 
 
 @dataclass(frozen=True)

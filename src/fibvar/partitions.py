@@ -17,7 +17,8 @@ r_table refuses any table of more than MAX_TABLE_ENTRIES entries, and below
 that cap int64 is exact for the counts and for their moments:
 R(n)**2 <= n+1, so even V(H) = sum_{n<=H} R(n)**2 <= (H+1)(H+2)/2 stays far
 below 2**63.  The peak memory of a table of H+1 entries is its own 8 bytes
-per entry; moments.moment_table peaks at 24 bytes per entry (R, A and V).
+per entry; moments.moment_table peaks at 24 bytes per entry (R, A and V),
+and moments.fib_moment_series, which squares R in place, at 8.
 """
 
 from dataclasses import dataclass

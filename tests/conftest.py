@@ -1,9 +1,27 @@
+import tracemalloc
+
 import pytest
 
 from fibvar.closed_form import solve_closed_form
 from fibvar.fibonacci import fib
 from fibvar.moments import fib_moment_series, moment_table
 from fibvar.partitions import r_table
+
+
+def _peak_bytes(fn):
+    """tracemalloc peak of fn(), in bytes above the level at the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="session")
+def peak_bytes():
+    return _peak_bytes
 
 
 @pytest.fixture(scope="session")

@@ -190,7 +190,7 @@ def test_budget_exceeded_exit_code(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify-cases", "--from", "19", "--to", "20"],
+        ["verify-cases", "--from", "20", "--to", "21"],
         ["verify-w", "--from", "19", "--to", "21"],
     ],
 )

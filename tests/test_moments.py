@@ -1,10 +1,11 @@
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from fibvar.fibonacci import fib
 from fibvar.moments import (
     MomentTable,
+    fib_moment_series,
     moment_table,
     v_at_fib,
     verify_lemma,
@@ -33,15 +34,18 @@ def test_moment_table_small_values():
     assert mt.v_at(8) == 26
 
 
-def test_moment_table_peak_memory_is_r_a_and_v():
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        mt = moment_table(10**6)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.05 * mt.v.nbytes
+def test_moment_table_peak_memory_is_r_a_and_v(peak_bytes):
+    assert peak_bytes(lambda: moment_table(10**6)) <= 3.05 * 8 * (10**6 + 1)
+
+
+def test_fib_moment_series_peak_memory_is_r_alone(peak_bytes):
+    assert peak_bytes(lambda: fib_moment_series(30)) <= 1.05 * 8 * (fib(30) + 1)
+
+
+def test_fib_moment_series_matches_moment_table():
+    series, table = fib_moment_series(30), moment_table(fib(30))
+    for m in range(2, 31):
+        assert series.v(m) == table.v_at(fib(m)), m
 
 
 def test_moment_arrays_strictly_increase():

@@ -1,4 +1,3 @@
-import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -67,15 +66,8 @@ def test_block_table_matches_subset_dp_at_random_sizes(dp_past_f33, h):
     assert np.array_equal(r_table(h).r, dp_past_f33[: h + 1])
 
 
-def test_r_table_peak_memory_is_the_table():
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        table = r_table(10**6)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.05 * table.r.nbytes
+def test_r_table_peak_memory_is_the_table(peak_bytes):
+    assert peak_bytes(lambda: r_table(10**6)) <= 1.05 * 8 * (10**6 + 1)
 
 
 def test_single_point_queries():

@@ -1,7 +1,8 @@
 """Command-line surface: tables, verifications, the exact solve, and figure data.
 
 Exit codes: 0 success / all checks pass, 1 usage error, 2 a verification
-failed, 3 a memory or enumeration budget was exceeded.
+failed, 3 a memory or enumeration budget was exceeded, 4 an internal error
+(a RuntimeError from the library, such as a failed root certificate).
 """
 
 import argparse
@@ -16,6 +17,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 class _UsageError(Exception):
@@ -244,6 +246,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"fibvar: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        print(f"fibvar: internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

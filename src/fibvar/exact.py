@@ -6,15 +6,20 @@ at the three real roots of the cubic.  Scalars are fractions.Fraction
 throughout, which keeps every value reduced with a positive denominator.  The
 linear solver is fraction-free (Bareiss) after clearing row denominators.
 Real roots are isolated by one sign scan of a fixed grid on the Cauchy
-interval [-3, 3] and bisected in integer arithmetic; because the cubic has no
-rational roots, no grid point or bisection midpoint can be a root.
+interval [-3, 3], then located to the requested width by integer Newton steps
+with precision doubling (Brent and Zimmermann, Modern Computer Arithmetic,
+2010, ch. 4) and certified by exact signs.  The cubic is irreducible, so it
+has no rational roots: every root lies strictly inside exactly one dyadic cell
+3n/2^e < x < 3(n+1)/2^e of each level e, and a cell whose ends have opposite
+signs inside the root's scan cell is that cell.  Newton only proposes n; the
+signs decide it, so the brackets are the cells that bisection would reach.
 """
 
 import threading
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import gcd
+from math import gcd, log10
 from typing import Sequence
 
 # x^3 - 2x^2 - 2x + 2, coefficients by ascending degree
@@ -128,12 +133,13 @@ class IsolatedRoot:
 
 
 def _decimal_digits(precision: Fraction) -> int:
-    digits = 0
-    bound = Fraction(1)
-    while bound > precision:
-        bound /= 10
-        digits += 1
-    return max(digits, 1)
+    """The least d >= 1 with 10^-d <= precision."""
+    num, den = precision.numerator, precision.denominator
+    # bit lengths bound log2(den/num) within 1 either way; start below it
+    d = max(1, int((den.bit_length() - num.bit_length() - 1) * log10(2)))
+    while den > num * 10**d:
+        d += 1
+    return d
 
 
 def _to_decimal(x: Fraction, digits: int) -> Decimal:
@@ -142,20 +148,55 @@ def _to_decimal(x: Fraction, digits: int) -> Decimal:
         return Decimal(x.numerator) / Decimal(x.denominator)
 
 
+def _scaled_cubic(x: int, e: int) -> int:
+    """The cubic at x / 2^e, scaled by 2^(3e) to an exact integer."""
+    c0, c1, c2, c3 = CUBIC_MIN_POLY
+    return ((c3 * x + (c2 << e)) * x + (c1 << 2 * e)) * x + (c0 << 3 * e)
+
+
 def _negative_at(n: int, e: int) -> bool:
     """Whether the cubic is negative at x = CAUCHY_BOUND * n / 2^e."""
+    return _scaled_cubic(CAUCHY_BOUND * n, e) < 0
+
+
+_SEED_BITS = 48  # what a double-precision Newton seed is trusted to
+_GUARD_BITS = 8  # Newton works this far below the bracket's last bit
+
+
+def _newton_root(seed: float, bits: int) -> int:
+    """An integer within a few units of root * 2^bits, for the root seed is near.
+
+    Each integer Newton step at q bits takes the cubic scaled by 2^(3q) over
+    its derivative scaled by 2^(2q), which is f/f' in units of 2^-q.  The
+    steps double the precision up to bits, starting at _SEED_BITS from six
+    float Newton steps on seed.  Quadratic convergence keeps the error within
+    a few units of the last place; a root that close to a cell's end can
+    move the proposed cell by one, which isolate_real_roots checks for.
+    """
     c0, c1, c2, c3 = CUBIC_MIN_POLY
-    x = CAUCHY_BOUND * n  # the point is x / 2^e; f is scaled by 2^(3e)
-    return ((c3 * x + (c2 << e)) * x + (c1 << 2 * e)) * x + (c0 << 3 * e) < 0
+    for _ in range(6):
+        seed -= (((c3 * seed + c2) * seed + c1) * seed + c0) / ((3 * c3 * seed + 2 * c2) * seed + c1)
+    schedule = [bits]
+    while schedule[-1] > _SEED_BITS:
+        schedule.append(schedule[-1] // 2 + 2)
+    p = schedule[-1]
+    x = int(seed * (1 << p))
+    for q in reversed(schedule):
+        x <<= q - p
+        p = q
+        df = (3 * c3 * x + (2 * c2 << q)) * x + (c1 << 2 * q)
+        x -= _scaled_cubic(x, q) // df
+    return x
 
 
 def isolate_real_roots(precision: Fraction = Fraction(1, 10**30)) -> list[IsolatedRoot]:
     """Isolate the three real roots of the cubic, sorted by decreasing value.
 
-    Grid points and bisection midpoints are CAUCHY_BOUND * n / 2^e.  The scan
-    at e = 2 (eight cells on [-3, 3]) finds one sign change per root, and each
-    cell is halved toward its sign change until its width is at most
-    precision.
+    Cells are [CAUCHY_BOUND * n / 2^e, CAUCHY_BOUND * (n + 1) / 2^e].  The
+    scan at e = 2 (eight cells on [-3, 3]) finds one sign change per root.
+    Each root's bracket is the cell of the least level e with width at most
+    precision: Newton proposes n, and n is kept only when it lies in the
+    root's scan cell and the cubic changes sign across it.
     """
     precision = _frac(precision)
     if precision <= 0:
@@ -168,15 +209,28 @@ def isolate_real_roots(precision: Fraction = Fraction(1, 10**30)) -> list[Isolat
     ]
     if len(cells) != 3:
         raise RuntimeError(f"expected 3 sign changes on the grid, found {len(cells)}")
-    e = scan
-    while CAUCHY_BOUND * precision.denominator > precision.numerator << e:
+    # the least e >= scan with CAUCHY_BOUND / 2^e <= precision, searched up
+    # from a bit-length bound that lies below it
+    num, den = precision.numerator, precision.denominator
+    e = max(scan, (CAUCHY_BOUND * den).bit_length() - num.bit_length() - 1)
+    while CAUCHY_BOUND * den > num << e:
         e += 1
     digits = _decimal_digits(precision)
     roots = []
-    for n in reversed(cells):
-        low_negative = _negative_at(n, scan)
-        for k in range(scan + 1, e + 1):
-            n = 2 * n + 1 if _negative_at(2 * n + 1, k) == low_negative else 2 * n
+    for cell in reversed(cells):
+        low_negative = _negative_at(cell, scan)
+        x = _newton_root(CAUCHY_BOUND * (cell + 0.5) / (1 << scan), e + _GUARD_BITS)
+        guess = x // (CAUCHY_BOUND << _GUARD_BITS)
+        for n in (guess, guess - 1, guess + 1):
+            if (
+                n >> (e - scan) == cell
+                and _negative_at(n, e) == low_negative != _negative_at(n + 1, e)
+            ):
+                break
+        else:
+            raise RuntimeError(
+                f"no sign change on the cells 3n/2^{e} for n within 1 of Newton's {guess}"
+            )
         low = Fraction(CAUCHY_BOUND * n, 1 << e)
         high = Fraction(CAUCHY_BOUND * (n + 1), 1 << e)
         roots.append(

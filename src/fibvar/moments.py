@@ -39,25 +39,31 @@ class MomentTable:
         return int(self.v[n])
 
 
+def _prefix_moments(h_max: int, r: np.ndarray) -> MomentTable:
+    """A and V from R, which is squared and summed in place to become V."""
+    a = np.cumsum(r)
+    np.multiply(r, r, out=r)
+    np.cumsum(r, out=r)
+    return MomentTable(h_max=h_max, a=a, v=r)
+
+
 def moments_from_counts(counts: CountTable) -> MomentTable:
-    """Prefix sums of an existing count table; V is squared and summed in place."""
-    a = np.cumsum(counts.r)
-    v = np.square(counts.r)
-    np.cumsum(v, out=v)
-    return MomentTable(h_max=counts.h_max, a=a, v=v)
+    """Prefix sums of an existing count table, which is left intact."""
+    return _prefix_moments(counts.h_max, counts.r.copy())
 
 
 def moment_table(h_max: int) -> MomentTable:
-    """Build A and V over [0, h_max]."""
-    return moments_from_counts(r_table(h_max))
+    """Build A and V over [0, h_max]; the R table becomes V, 16 bytes per entry."""
+    return _prefix_moments(h_max, r_table(h_max).r)
 
 
 def v_at_fib(m: int) -> int:
-    """V(F_m) for m >= 2."""
+    """V(F_m) for m >= 2, from one R table squared in place (8 bytes per entry)."""
     if m < 2:
         raise ValueError(f"V(F_m) needs m >= 2, got {m}")
-    h = fib(m)
-    return moment_table(h).v_at(h)
+    squares = r_table(fib(m)).r
+    np.multiply(squares, squares, out=squares)
+    return int(squares.sum())
 
 
 @dataclass(frozen=True)

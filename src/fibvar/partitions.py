@@ -17,8 +17,10 @@ r_table refuses any table of more than MAX_TABLE_ENTRIES entries, and below
 that cap int64 is exact for the counts and for their moments:
 R(n)**2 <= n+1, so even V(H) = sum_{n<=H} R(n)**2 <= (H+1)(H+2)/2 stays far
 below 2**63.  The peak memory of a table of H+1 entries is its own 8 bytes
-per entry; moments.moment_table peaks at 24 bytes per entry (R, A and V),
-and moments.fib_moment_series, which squares R in place, at 8.
+per entry.  moments.moment_table peaks at 16 bytes per entry, because R
+is squared and summed in place to become V beside A;
+moments.fib_moment_series and moments.v_at_fib, which square R in place and
+sum it, peak at 8.
 """
 
 from dataclasses import dataclass
@@ -29,7 +31,7 @@ import numpy as np
 from .errors import BudgetError
 from .fibonacci import distinct_fib_upto, fib
 
-MAX_TABLE_ENTRIES = 10**8  # 0.8 GB for R alone, 2.4 GB for moment_table
+MAX_TABLE_ENTRIES = 10**8  # 0.8 GB for R alone, 1.6 GB for moment_table
 
 
 @dataclass(frozen=True)

@@ -227,3 +227,16 @@ def test_malformed_flags(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
+
+
+@pytest.mark.parametrize("argv", [("solve", "--precision", "150"), ("exponents", "--precision", "100")])
+def test_library_runtime_error_is_an_internal_error(capsys, monkeypatch, argv):
+    def broken(precision):
+        raise RuntimeError("no sign change")
+
+    monkeypatch.setattr(cli.closed_form, "isolate_real_roots", broken)
+    monkeypatch.setattr(cli.analysis, "isolate_real_roots", broken)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert err == "fibvar: internal error: no sign change\n"

@@ -7,9 +7,13 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fibvar import exact
 from fibvar.exact import (
+    CAUCHY_BOUND,
     CUBIC_MIN_POLY,
     SingularMatrixError,
+    _decimal_digits,
+    _negative_at,
     isolate_real_roots,
     power_trace,
     solve_linear_system,
@@ -19,6 +23,51 @@ from fibvar.exact import (
 def cubic(x: Fraction) -> Fraction:
     c0, c1, c2, c3 = CUBIC_MIN_POLY
     return c0 + x * (c1 + x * (c2 + x * c3))
+
+
+def level(precision: Fraction) -> int:
+    """The least e >= 2 with cell width 3/2^e <= precision."""
+    e = 2
+    while Fraction(CAUCHY_BOUND, 1 << e) > precision:
+        e += 1
+    return e
+
+
+def bisection_cells(precision: Fraction) -> tuple[int, list[int]]:
+    """Reference for isolate_real_roots: the level e and the cells n.
+
+    One bisection step per level: scan the cells 3n/4 on [-3, 3], then halve
+    each sign-change cell toward its sign change until its width 3/2^e is at
+    most precision.
+    """
+    scan = 2
+    cells = [n for n in range(-4, 4) if _negative_at(n, scan) != _negative_at(n + 1, scan)]
+    e = level(precision)
+    found = []
+    for n in reversed(cells):
+        low_negative = _negative_at(n, scan)
+        for k in range(scan + 1, e + 1):
+            n = 2 * n + 1 if _negative_at(2 * n + 1, k) == low_negative else 2 * n
+        found.append(n)
+    return e, found
+
+
+def newton_cells(precision: Fraction) -> list[tuple[Fraction, Fraction]]:
+    return [(r.low, r.high) for r in isolate_real_roots(precision)]
+
+
+def cells_at(e: int, cells: list[int]) -> list[tuple[Fraction, Fraction]]:
+    return [(Fraction(CAUCHY_BOUND * n, 1 << e), Fraction(CAUCHY_BOUND * (n + 1), 1 << e)) for n in cells]
+
+
+def decimal_digits_reference(precision: Fraction) -> int:
+    """Reference for _decimal_digits: one Fraction division per digit."""
+    digits = 0
+    bound = Fraction(1)
+    while bound > precision:
+        bound /= 10
+        digits += 1
+    return max(digits, 1)
 
 
 def test_power_trace_seeds_and_recurrence():
@@ -126,3 +175,53 @@ def test_isolate_roots_brackets_are_pinned(digits, digest):
     roots = isolate_real_roots(Fraction(1, 10**digits))
     ends = [(r.low.numerator, r.low.denominator, r.high.numerator, r.high.denominator) for r in roots]
     assert hashlib.sha256(repr(ends).encode()).hexdigest() == digest
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.fractions(min_value=Fraction(1, 10**120), max_value=10, max_denominator=10**130),
+        st.builds(Fraction, st.integers(1, 10**40), st.integers(1, 10**150)),
+        st.sampled_from(
+            [Fraction(3, 7), Fraction(5, 2**40), Fraction(3, 2**90), Fraction(3, 8), Fraction(3, 4), Fraction(1), Fraction(7)]
+        ),
+    )
+)
+def test_newton_brackets_equal_bisection(precision):
+    assert newton_cells(precision) == cells_at(*bisection_cells(precision))
+
+
+def test_newton_brackets_equal_bisection_for_every_decimal_precision_to_400():
+    # the dyadic cells nest, so each level's cell is the deepest cell shifted
+    deep_e, deep = bisection_cells(Fraction(1, 10**400))
+    for d in range(1, 401):
+        precision = Fraction(1, 10**d)
+        e = level(precision)
+        assert newton_cells(precision) == cells_at(e, [n >> (deep_e - e) for n in deep]), d
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(
+        st.builds(Fraction, st.integers(1, 10**60), st.integers(1, 10**400)),
+        st.builds(lambda d, k: Fraction(k, 100 * 10**d), st.integers(0, 400), st.sampled_from([99, 100, 101])),
+    )
+)
+def test_decimal_digits_matches_the_fraction_loop(precision):
+    assert _decimal_digits(precision) == decimal_digits_reference(precision)
+
+
+def test_isolate_roots_past_the_int_str_digit_limit():
+    precision = Fraction(1, 10**5000)
+    roots = isolate_real_roots(precision)
+    assert len(roots) == 3
+    for root in roots:
+        assert precision / 2 < root.high - root.low <= precision
+        assert cubic(root.low) * cubic(root.high) < 0
+    assert roots[2].high < roots[1].low and roots[1].high < roots[0].low
+
+
+def test_a_cell_without_a_sign_change_is_refused(monkeypatch):
+    monkeypatch.setattr(exact, "_newton_root", lambda seed, bits: 0)
+    with pytest.raises(RuntimeError, match="no sign change"):
+        isolate_real_roots(Fraction(1, 10**20))

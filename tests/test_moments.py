@@ -7,6 +7,7 @@ from fibvar.moments import (
     MomentTable,
     fib_moment_series,
     moment_table,
+    moments_from_counts,
     v_at_fib,
     verify_lemma,
     w_closed_form,
@@ -34,8 +35,21 @@ def test_moment_table_small_values():
     assert mt.v_at(8) == 26
 
 
-def test_moment_table_peak_memory_is_r_a_and_v(peak_bytes):
-    assert peak_bytes(lambda: moment_table(10**6)) <= 3.05 * 8 * (10**6 + 1)
+def test_moment_table_peak_memory_is_a_and_v(peak_bytes):
+    assert peak_bytes(lambda: moment_table(10**6)) <= 2.05 * 8 * (10**6 + 1)
+
+
+def test_v_at_fib_peak_memory_is_r_alone(peak_bytes):
+    assert peak_bytes(lambda: v_at_fib(30)) <= 1.05 * 8 * (fib(30) + 1)
+
+
+def test_moments_from_counts_leaves_the_counts_intact():
+    counts = r_table(1000)
+    before = counts.r.copy()
+    mt = moments_from_counts(counts)
+    assert np.array_equal(counts.r, before)
+    assert np.array_equal(mt.a, np.cumsum(before)) and np.array_equal(mt.v, np.cumsum(before**2))
+    assert np.array_equal(mt.v, moment_table(1000).v)
 
 
 def test_fib_moment_series_peak_memory_is_r_alone(peak_bytes):
@@ -67,7 +81,7 @@ def test_v_at_fib_initial_data():
 def test_v_at_fib_oracle_values(series_f28):
     for m, want in V_AT_FIB.items():
         assert series_f28.v(m) == want
-    assert v_at_fib(7) == 53
+        assert v_at_fib(m) == want
 
 
 def test_v_at_fib_rejects_small_m():

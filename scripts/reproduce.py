@@ -15,8 +15,7 @@ from pathlib import Path
 from fibvar.analysis import exponent_report, write_figure_csv
 from fibvar.casework import verify_cases
 from fibvar.closed_form import closed_form_v, embed_coefficients, solve_closed_form
-from fibvar.fibonacci import fib
-from fibvar.moments import VARIANCE_RECURRENCE, fib_moment_series, moment_table, verify_lemma
+from fibvar.moments import VARIANCE_RECURRENCE, fib_moment_series, v_at_fib, verify_lemma
 from fibvar.partitions import check_carlitz, check_sqrt_bound
 
 LEMMA_M_MAX = 28
@@ -36,9 +35,10 @@ def main() -> int:
         print(f"  [{'ok' if ok else 'FAIL'}] {label}")
         failures += not ok
 
+    dp = fib_moment_series(28)
     print("initial data")
     initial = VARIANCE_RECURRENCE.initial
-    check(f"V(F_2..F_6) = {initial}", fib_moment_series(6).values[2:] == initial)
+    check(f"V(F_2..F_6) = {initial}", dp.values[2:7] == initial)
 
     print(f"five-term recurrence, m in [7, {LEMMA_M_MAX}]")
     rows = verify_lemma(7, LEMMA_M_MAX)
@@ -58,14 +58,13 @@ def main() -> int:
     print(f"  c(theta) = {g0} + {g1}*theta + {g2}*theta^2, c3 = {sol.c3}, c4 = {sol.c4}")
     c1, c2, c3, c4, c5 = embed_coefficients(sol, digits=15)
     print(f"  (c1, c2, c3, c4, c5) ~ ({c1}, {c2}, {c3}, {c4}, {c5})")
-    dp = fib_moment_series(28)
     check(
         "matches the tables for m in [2, 28]",
         all(closed_form_v(m, sol) == dp.v(m) for m in range(2, 29)),
     )
 
     print("asymptotics")
-    v30 = moment_table(fib(30)).v_at(fib(30))
+    v30 = v_at_fib(30)
     with localcontext() as ctx:
         ctx.prec = 40
         c1 = embed_coefficients(sol, digits=40)[0]

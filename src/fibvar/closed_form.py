@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .exact import CubicElement, IsolatedRoot, isolate_real_roots, power_trace, solve_linear_system
+from .exact import CubicElement, IsolatedRoot, isolate_real_roots, power_traces, solve_linear_system
 from .moments import VARIANCE_RECURRENCE
 
 
@@ -43,15 +43,7 @@ def build_trace_system() -> tuple[list[list[Fraction]], list[Fraction]]:
     matrix = []
     rhs = []
     for m in range(2, 7):
-        matrix.append(
-            [
-                power_trace(m),
-                power_trace(m + 1),
-                power_trace(m + 2),
-                Fraction(1),
-                Fraction((-1) ** m),
-            ]
-        )
+        matrix.append([*power_traces(m), Fraction(1), Fraction((-1) ** m)])
         rhs.append(Fraction(VARIANCE_RECURRENCE.initial[m - 2]) - particular_part(m))
     return matrix, rhs
 
@@ -101,24 +93,26 @@ def closed_form_v(m: int, sol: ClosedFormSolution) -> Fraction:
     """Exact V(F_m) from the closed form; always a nonnegative integer.
 
     Evaluates g0*p_m + g1*p_{m+1} + g2*p_{m+2} + c3 + (-1)^m c4 plus the
-    particular part, entirely over the rationals.
+    particular part over the rationals, from one binary powering theta^m.
     """
     if m < 2:
         raise ValueError(f"closed form defined for m >= 2, got {m}")
-    g0, g1, g2 = sol.c_field.coords()
-    trace_part = g0 * power_trace(m) + g1 * power_trace(m + 1) + g2 * power_trace(m + 2)
+    trace_part = sum(g * p for g, p in zip(sol.c_field.coords(), power_traces(m)))
     return trace_part + sol.c3 + (-1) ** m * sol.c4 + particular_part(m)
 
 
 def embed_coefficients(
     sol: ClosedFormSolution, digits: int = 30
 ) -> tuple[Decimal, Decimal, Decimal, Decimal, Decimal]:
-    """Decimal values of (c_1, c_2, c_3, c_4, c_5), c_i attached to lambda_i."""
+    """Decimal values of (c_1, c_2, c_3, c_4, c_5), c_i attached to lambda_i.
+
+    c(theta) cancels about two digits at lambda_1, so it is evaluated at roots
+    isolated to 10^-(digits + 10), working at digits + 10, and rounded once.
+    """
+    lam1, lam5, lam2 = (r.value for r in isolate_real_roots(Fraction(1, 10 ** (digits + 10))))
     with localcontext() as ctx:
+        ctx.prec = digits + 10
+        c1, c2, c5 = (sol.c_field.embed(lam) for lam in (lam1, lam2, lam5))
         ctx.prec = digits
-        c1 = +sol.c_field.embed(sol.lambda1.value)
-        c2 = +sol.c_field.embed(sol.lambda2.value)
-        c5 = +sol.c_field.embed(sol.lambda5.value)
-        c3 = +(Decimal(sol.c3.numerator) / Decimal(sol.c3.denominator))
-        c4 = +(Decimal(sol.c4.numerator) / Decimal(sol.c4.denominator))
-    return c1, c2, c3, c4, c5
+        c3, c4 = (Decimal(c.numerator) / Decimal(c.denominator) for c in (sol.c3, sol.c4))
+        return +c1, +c2, c3, c4, +c5

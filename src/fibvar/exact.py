@@ -2,20 +2,20 @@
 
 theta is a root of x^3 - 2x^2 - 2x + 2, which is irreducible over Q, so an
 element of Q(theta) is a coordinate triple whose three embeddings evaluate it
-at the three real roots of the cubic.  Scalars are fractions.Fraction
-throughout, which keeps every value reduced with a positive denominator.  The
-linear solver is fraction-free (Bareiss) after clearing row denominators.
-Real roots are isolated by one sign scan of a fixed grid on the Cauchy
-interval [-3, 3], then located to the requested width by integer Newton steps
-with precision doubling (Brent and Zimmermann, Modern Computer Arithmetic,
-2010, ch. 4) and certified by exact signs.  The cubic is irreducible, so it
-has no rational roots: every root lies strictly inside exactly one dyadic cell
-3n/2^e < x < 3(n+1)/2^e of each level e, and a cell whose ends have opposite
-signs inside the root's scan cell is that cell.  Newton only proposes n; the
-signs decide it, so the brackets are the cells that bisection would reach.
+at the three real roots of the cubic.  The power sums p_k are traces of
+theta^k, which binary powering finds in Z[theta] with no cache.  Rational
+scalars are fractions.Fraction.  The linear solver is fraction-free (Bareiss)
+after clearing row denominators.  Real roots are isolated by one sign scan of
+a fixed grid on the Cauchy interval [-3, 3], then located to the requested
+width by integer Newton steps with precision doubling (Brent and Zimmermann,
+Modern Computer Arithmetic, 2010, ch. 4) and certified by exact signs.  The
+cubic is irreducible, so it has no rational roots: every root lies strictly
+inside exactly one dyadic cell 3n/2^e < x < 3(n+1)/2^e of each level e, and a
+cell whose ends have opposite signs inside the root's scan cell is that cell.
+Newton only proposes n; the signs decide it, so the brackets are the cells
+that bisection would reach.
 """
 
-import threading
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -52,24 +52,40 @@ class CubicElement:
         return g0 + x * (g1 + x * g2)
 
 
-_trace_lock = threading.Lock()
-_trace_values = [Fraction(3), Fraction(2), Fraction(8)]
+def _times_theta(x: tuple[int, ...]) -> tuple[int, ...]:
+    """(a, b, c) = a + b*theta + c*theta^2 times theta, reduced by the monic cubic."""
+    a, b, c = x
+    c0, c1, c2, _ = CUBIC_MIN_POLY
+    return (-c0 * c, a - c1 * c, b - c2 * c)
 
 
-def power_trace(k: int) -> Fraction:
-    """Sum of the k-th powers of the three roots of x^3 - 2x^2 - 2x + 2.
+def power_traces(k: int) -> tuple[int, ...]:
+    """(p_k, p_{k+1}, p_{k+2}), power sums of the three roots of the cubic.
 
-    Newton's identities give the seeds (3, 2, 8), and the cubic itself gives
-    the recurrence p_k = 2 p_{k-1} + 2 p_{k-2} - 2 p_{k-3}.
+    theta^k = a + b*theta + c*theta^2 comes from binary powering in Z[theta],
+    squaring as a^2 + 2ab*theta + (2ac + b^2)*theta^2 + (2bc + c^2*theta)*theta^3.
+    The trace is linear, so p_k = 3a + 2b + 8c (p_0, p_1, p_2 = 3, 2, 8 by
+    Newton's identities), and multiplying by theta gives the next two.
+    Nothing is kept between calls.
     """
     if k < 0:
         raise ValueError(f"power sum index must be >= 0, got {k}")
-    with _trace_lock:
-        while len(_trace_values) <= k:
-            _trace_values.append(
-                -sum(c * p for c, p in zip(CUBIC_MIN_POLY, _trace_values[-3:]))
-            )
-        return _trace_values[k]
+    x = (1, 0, 0)
+    for bit in bin(k)[2:]:
+        a, b, c = x
+        high = (2 * b * c, c * c, 0)
+        for _ in range(3):
+            high = _times_theta(high)
+        x = (a * a + high[0], 2 * a * b + high[1], 2 * a * c + b * b + high[2])
+        if bit == "1":
+            x = _times_theta(x)
+    xt = _times_theta(x)
+    return tuple(3 * a + 2 * b + 8 * c for a, b, c in (x, xt, _times_theta(xt)))
+
+
+def power_trace(k: int) -> int:
+    """Sum of the k-th powers of the three roots of x^3 - 2x^2 - 2x + 2."""
+    return power_traces(k)[0]
 
 
 def solve_linear_system(

@@ -1,4 +1,5 @@
-from decimal import Decimal
+import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -96,6 +97,25 @@ def test_coefficient_embeddings(solution):
     assert abs(c5 - Decimal("0.393507289215111201857395242691")) < Decimal("1e-25")
 
 
+def test_coefficient_embeddings_are_correctly_rounded(solution):
+    # reference: c(theta) = 8/37 + 14/37 theta - 13/74 theta^2 at sympy's roots
+    # of the cubic to 140 digits, rounded once to d digits
+    x = sp.symbols("x")
+    lam2, lam5, lam1 = sorted(
+        sp.Poly(x**3 - 2 * x**2 - 2 * x + 2, x).all_roots(), key=lambda r: sp.N(r, 30)
+    )
+    c_theta = [
+        sp.Rational(8, 37) + sp.Rational(14, 37) * lam - sp.Rational(13, 74) * lam**2
+        for lam in (lam1, lam2, lam5)
+    ]
+    reference = [Decimal(str(sp.N(c, 140))) for c in c_theta]
+    for d in range(1, 101):
+        c1, c2, _, _, c5 = embed_coefficients(solution, digits=d)
+        with localcontext() as ctx:
+            ctx.prec = d
+            assert (c1, c2, c5) == tuple(+r for r in reference), d
+
+
 def test_dominant_coefficient_sits_at_largest_root(solution):
     c1 = embed_coefficients(solution, digits=30)[0]
     assert c1 > 0
@@ -128,16 +148,29 @@ def test_closed_form_integral_through_60(solution):
 
 def test_closed_form_satisfies_recurrence(solution):
     rec = VARIANCE_RECURRENCE
-    values = {m: closed_form_v(m, solution) for m in range(2, 61)}
-    for m in range(7, 61):
+    values = {m: closed_form_v(m, solution) for m in range(2, 1001)}
+    for m in range(7, 1001):
         history = [values[m - lag] for lag in range(5, 0, -1)]
         assert values[m] == rec.step(history, m)
 
 
 def test_homogeneous_part_satisfies_homogeneous_recurrence(solution):
-    u = {m: closed_form_v(m, solution) - particular_part(m) for m in range(2, 61)}
-    for m in range(7, 61):
+    u = {m: closed_form_v(m, solution) - particular_part(m) for m in range(2, 1001)}
+    for m in range(7, 1001):
         assert u[m] == 2 * u[m - 1] + 3 * u[m - 2] - 4 * u[m - 3] - 2 * u[m - 4] + 2 * u[m - 5]
+
+
+def test_closed_form_leaves_no_allocation_behind(solution):
+    # power sums are recomputed per call, so nothing grows with m between calls
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        value = closed_form_v(20000, solution)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert value.denominator == 1
+    assert held < 10**6
 
 
 def test_closed_form_rejects_small_m(solution):

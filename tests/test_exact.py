@@ -71,9 +71,13 @@ def decimal_digits_reference(precision: Fraction) -> int:
 
 
 def test_power_trace_seeds_and_recurrence():
-    assert [power_trace(k) for k in range(6)] == [3, 2, 8, 14, 40, 92]
-    for k in range(3, 30):
-        assert power_trace(k) == 2 * power_trace(k - 1) + 2 * power_trace(k - 2) - 2 * power_trace(k - 3)
+    # reference: the seeds and the three-term recurrence of the cubic, iterated
+    reference = [3, 2, 8]
+    while len(reference) <= 3000:
+        reference.append(2 * reference[-1] + 2 * reference[-2] - 2 * reference[-3])
+    assert reference[:6] == [3, 2, 8, 14, 40, 92]
+    for k in range(3001):
+        assert power_trace(k) == reference[k], k
     with pytest.raises(ValueError):
         power_trace(-1)
 

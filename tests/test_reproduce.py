@@ -17,7 +17,7 @@ FIGURE_SHA256 = {
     "figure_75025.csv": "2c513f2ec599214dde741d575077fc177b5f67f1e8b556b0428ed4281f25ba75",
 }
 # stdout without the timing line, with the output directory written as <outdir>
-STDOUT_SHA256 = "4b0d83504cf034814e5c8c4be2d1f371e40d242207dc8ae7c3ddb9e70b56dba5"
+STDOUT_SHA256 = "ae38b032955590cbfa6e3a61cb45a9cd6d2be60e78ac3966d81fa4d75e706c8e"
 
 
 def _sha256(data: bytes) -> str:

@@ -15,7 +15,7 @@ from pathlib import Path
 from fibvar.analysis import exponent_report, write_figure_csv
 from fibvar.casework import verify_cases
 from fibvar.closed_form import closed_form_v, embed_coefficients, solve_closed_form
-from fibvar.moments import VARIANCE_RECURRENCE, fib_moment_series, v_at_fib, verify_lemma
+from fibvar.moments import VARIANCE_RECURRENCE, fib_moment_series, verify_lemma
 from fibvar.partitions import check_carlitz, check_sqrt_bound
 
 LEMMA_M_MAX = 28
@@ -35,7 +35,7 @@ def main() -> int:
         print(f"  [{'ok' if ok else 'FAIL'}] {label}")
         failures += not ok
 
-    dp = fib_moment_series(28)
+    dp = fib_moment_series(30)
     print("initial data")
     initial = VARIANCE_RECURRENCE.initial
     check(f"V(F_2..F_6) = {initial}", dp.values[2:7] == initial)
@@ -64,7 +64,7 @@ def main() -> int:
     )
 
     print("asymptotics")
-    v30 = v_at_fib(30)
+    v30 = dp.v(30)
     with localcontext() as ctx:
         ctx.prec = 40
         c1 = embed_coefficients(sol, digits=40)[0]

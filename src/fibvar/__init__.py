@@ -33,7 +33,6 @@ from .moments import (
     RecurrenceSpec,
     fib_moment_series,
     moment_table,
-    moments_from_counts,
     v_at_fib,
     verify_lemma,
     w_closed_form,
@@ -69,7 +68,6 @@ __all__ = [
     "fib_moment_series",
     "isolate_real_roots",
     "moment_table",
-    "moments_from_counts",
     "particular_part",
     "power_trace",
     "r",

@@ -14,13 +14,14 @@ pair falls into exactly one of five cases according to the two largest parts
     5. {F_{m-1}, F_{m-2}} split          -> 2 (w_{m+1} - R(F_{m-3}))
 
 Everything here is exhaustive enumeration over subsets, deliberately
-independent of the count tables, so the case formulas (and the closed form of
-the auxiliary count w_m) are checked against raw counting.  The enumeration
-is over numpy int64 arrays of running subset sums, grown once per Fibonacci
-value, with the sums that land in the window binned by their max part.  It
-keeps every subset sum up to F_m, A(F_m) of them (349,536 at m = 21), and
-peaks near 20 bytes per sum kept (the array, its grown part and their
-concatenation): 6.7 MB for verify_cases(21).
+independent of the R table, so the case formulas and the closed form of the
+auxiliary count w_m, evaluated on moments.fib_moment_series, are checked
+against raw counting.  The enumeration is over numpy int64 arrays of running
+subset sums, grown once per Fibonacci value, with the sums that land in the
+window binned by their max part.  It keeps every subset sum up to F_m,
+A(F_m) of them (349,536 at m = 21), and peaks near 20 bytes per sum kept
+(the array, its grown part and their concatenation): 6.7 MB for
+verify_cases(21).
 """
 
 from dataclasses import dataclass
@@ -30,8 +31,7 @@ import numpy as np
 
 from .errors import BudgetError
 from .fibonacci import distinct_fib_upto, fib
-from .moments import moments_from_counts, w_closed_form
-from .partitions import r_table
+from .moments import fib_moment_series
 
 DEFAULT_ENUM_BUDGET = 20  # largest Fibonacci index whose subset space we enumerate
 
@@ -158,36 +158,31 @@ def verify_cases(m: int, budget: int = DEFAULT_ENUM_BUDGET) -> CaseReport:
 
     Also checks that the cases sum to the window total, that the total equals
     V(F_m) - V(F_{m-1}), and that the brute-forced w_m matches its closed
-    form.  Case 5 references w_{m+1}, which comes from the count tables, so
-    only the enumeration at m counts against the budget.
+    form.  Every R, V and w on the expected side, w_{m+1} of case 5
+    included, comes from one fib_moment_series(m), so only the enumeration
+    at m counts against the budget.
     """
     if m < 7:
         raise ValueError(f"case verification needs m >= 7, got {m}")
     bd = case_breakdown(m, budget=budget)
-
-    counts = r_table(fib(m))
-    moments = moments_from_counts(counts)
-    r_of = lambda k: counts.count(fib(k))
-    v_of = lambda k: moments.v_at(fib(k))
-    w_of = lambda k: w_closed_form(k, counts=counts, moments=moments)
-
+    s = fib_moment_series(m)
     case3_expected = (
-        v_of(m - 1)
-        - 4 * v_of(m - 3)
-        + 2 * v_of(m - 5)
-        - 2 * r_of(m - 1)
-        + 2 * r_of(m - 3)
-        + 2 * r_of(m - 5)
+        s.v(m - 1)
+        - 4 * s.v(m - 3)
+        + 2 * s.v(m - 5)
+        - 2 * s.r(m - 1)
+        + 2 * s.r(m - 3)
+        + 2 * s.r(m - 5)
         + 1
     )
     checks = (
         CaseCheck("case1", bd.case1, 1),
-        CaseCheck("case2", bd.case2, v_of(m - 2) - 1),
+        CaseCheck("case2", bd.case2, s.v(m - 2) - 1),
         CaseCheck("case3", bd.case3, case3_expected),
-        CaseCheck("case4", bd.case4, 2 * r_of(m - 2)),
-        CaseCheck("case5", bd.case5, 2 * (w_of(m + 1) - r_of(m - 3))),
+        CaseCheck("case4", bd.case4, 2 * s.r(m - 2)),
+        CaseCheck("case5", bd.case5, 2 * (s.w(m + 1) - s.r(m - 3))),
         CaseCheck("case_sum", bd.case_sum, bd.total),
-        CaseCheck("window_total", bd.total, v_of(m) - v_of(m - 1)),
-        CaseCheck("w", bd.w_bruteforce, w_of(m)),
+        CaseCheck("window_total", bd.total, s.v(m) - s.v(m - 1)),
+        CaseCheck("w", bd.w_bruteforce, s.w(m)),
     )
     return CaseReport(m=m, checks=checks)

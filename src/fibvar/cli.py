@@ -122,14 +122,17 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_moments(args) -> int:
-    counts = partitions.r_table(args.h_max)
-    mom = moments.moments_from_counts(counts)
-    analysis.write_csv(sys.stdout, "n,R,A,V", [range(args.h_max + 1), counts.r, mom.a, mom.v])
+    mom = moments.moment_table(args.h_max)
+    # R back from A, exact in int64: 24 bytes per entry with A and V
+    r = mom.a.copy()
+    r[1:] -= mom.a[:-1]
+    analysis.write_csv(sys.stdout, "n,R,A,V", [range(args.h_max + 1), r, mom.a, mom.v])
     return EXIT_OK
 
 
 def _cmd_verify_lemma(args) -> int:
-    rows = moments.verify_lemma(args.m_lo, args.m_hi)
+    ms = _m_range(args)
+    rows = moments.verify_lemma(ms[0], ms[-1])
     for row in rows:
         print(f"m={row.m} lhs={row.lhs} rhs={row.rhs} {'PASS' if row.equal else 'FAIL'}")
     ok = all(row.equal for row in rows)
@@ -158,7 +161,11 @@ def _cmd_verify_cases(args) -> int:
 
 
 def _cmd_verify_w(args) -> int:
-    rows = [(m, casework.w_bruteforce(m), moments.w_closed_form(m)) for m in _m_range(args)]
+    ms = _m_range(args)
+    # brute force first, so a range past the enumeration budget builds no table
+    bruteforced = [casework.w_bruteforce(m) for m in ms]
+    series = moments.fib_moment_series(ms[-1] - 3)
+    rows = list(zip(ms, bruteforced, map(series.w, ms)))
     for m, brute, closed in rows:
         print(f"m={m} brute={brute} closed={closed} {'PASS' if brute == closed else 'FAIL'}")
     ok = all(brute == closed for _, brute, closed in rows)
@@ -174,9 +181,10 @@ def _cmd_solve(args) -> int:
     c1, c2, c3, c4, c5 = closed_form.embed_coefficients(sol, digits=args.precision)
     for name, value in (("c1", c1), ("c2", c2), ("c3", c3), ("c4", c4), ("c5", c5)):
         print(f"{name} ~ {value}")
-    print(f"lambda1 = {sol.lambda1.value}")
-    print(f"lambda2 = {sol.lambda2.value}")
-    print(f"lambda5 = {sol.lambda5.value}")
+    # each bracket is at most 10^-p wide: its midpoint rounded to p places is within 10^-p
+    for name, root in (("lambda1", sol.lambda1), ("lambda2", sol.lambda2), ("lambda5", sol.lambda5)):
+        places = round((root.low + root.high) / 2 * 10**args.precision)
+        print(f"{name} = {Decimal(f'{places}E-{args.precision}')}")
     return EXIT_OK
 
 

@@ -1,14 +1,15 @@
 """First and second moments of the partition counts, and the five-term recurrence.
 
-A(H) = sum_{n<=H} R(n) and V(H) = sum_{n<=H} R(n)^2 are kept as prefix-sum
-arrays over a CountTable.  Along Fibonacci checkpoints the second moment
-satisfies, for m >= 7,
+A(H) = sum_{n<=H} R(n) and V(H) = sum_{n<=H} R(n)^2 over a range come from
+moment_table, as prefix-sum arrays.  R(F_m) and V(F_m) at the Fibonacci
+checkpoints come from fib_moment_series, which keeps no array.  Along the
+checkpoints the second moment satisfies, for m >= 7,
 
     V(F_m) = 2 V(F_{m-1}) + 3 V(F_{m-2}) - 4 V(F_{m-3}) - 2 V(F_{m-4})
              + 2 V(F_{m-5}) + 1 - 2*floor(m/2),
 
 which VARIANCE_RECURRENCE states once and verify_lemma checks as an identity
-between two independently computed sides.  w_closed_form evaluates the
+between two independently computed sides.  FibMomentSeries.w evaluates the
 auxiliary count
 
     w_m = V(F_{m-3}) - R(F_{m-3}) - R(F_{m-5}) - V(F_{m-5}),
@@ -21,8 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fibonacci import fib
-from .partitions import CountTable, r_table
+from .fibonacci import distinct_fib_upto, fib
+from .partitions import r_table
 
 
 @dataclass(frozen=True)
@@ -39,61 +40,70 @@ class MomentTable:
         return int(self.v[n])
 
 
-def _prefix_moments(h_max: int, r: np.ndarray) -> MomentTable:
-    """A and V from R, which is squared and summed in place to become V."""
+def moment_table(h_max: int) -> MomentTable:
+    """Build A and V over [0, h_max]; the R table becomes V, 16 bytes per entry."""
+    r = r_table(h_max).r
     a = np.cumsum(r)
     np.multiply(r, r, out=r)
     np.cumsum(r, out=r)
     return MomentTable(h_max=h_max, a=a, v=r)
 
 
-def moments_from_counts(counts: CountTable) -> MomentTable:
-    """Prefix sums of an existing count table, which is left intact."""
-    return _prefix_moments(counts.h_max, counts.r.copy())
-
-
-def moment_table(h_max: int) -> MomentTable:
-    """Build A and V over [0, h_max]; the R table becomes V, 16 bytes per entry."""
-    return _prefix_moments(h_max, r_table(h_max).r)
-
-
 def v_at_fib(m: int) -> int:
-    """V(F_m) for m >= 2, from one R table squared in place (8 bytes per entry)."""
-    if m < 2:
-        raise ValueError(f"V(F_m) needs m >= 2, got {m}")
-    squares = r_table(fib(m)).r
-    np.multiply(squares, squares, out=squares)
-    return int(squares.sum())
+    """V(F_m) for m >= 2."""
+    return fib_moment_series(m).v(m)
 
 
 @dataclass(frozen=True)
 class FibMomentSeries:
-    """V(F_m) for 2 <= m <= m_max; values[m] is V(F_m) (entries 0, 1 unused)."""
+    """R and V at F_m for 2 <= m <= m_max; counts[m] is R(F_m), values[m] is V(F_m).
+
+    Entries 0 and 1 of both tuples are unused.
+    """
 
     m_max: int
+    counts: tuple[int, ...]
     values: tuple[int, ...]
 
-    def v(self, m: int) -> int:
+    def _index(self, m: int) -> int:
         if not 2 <= m <= self.m_max:
             raise ValueError(f"m={m} outside series range [2, {self.m_max}]")
-        return self.values[m]
+        return m
+
+    def r(self, m: int) -> int:
+        return self.counts[self._index(m)]
+
+    def v(self, m: int) -> int:
+        return self.values[self._index(m)]
+
+    def w(self, m: int) -> int:
+        """The auxiliary count w_m, for 7 <= m <= m_max + 3."""
+        if m < 7:
+            raise ValueError(f"w_m needs m >= 7, got {m}")
+        value = self.v(m - 3) - self.r(m - 3) - self.r(m - 5) - self.v(m - 5)
+        if value < 0:
+            raise RuntimeError(f"w_{m} came out as {value} < 0: the series values disagree")
+        return value
 
 
 def fib_moment_series(m_max: int) -> FibMomentSeries:
-    """V at every Fibonacci checkpoint up to F_m_max from one R table.
+    """R and V at every Fibonacci checkpoint up to F_m_max from one R table.
 
-    The table is squared in place (R(n)**2 <= n+1 fits int64) and summed
-    block by block between checkpoints, so the peak is the table's own 8
-    bytes per entry and no V array is built.
+    R(F_m) is read off the table before it is squared in place (R(n)**2 <=
+    n+1 fits int64) and summed block by block between checkpoints, so the
+    peak is the table's own 8 bytes per entry and no V array is built.
     """
     if m_max < 2:
         raise ValueError(f"m_max must be >= 2, got {m_max}")
-    squares = r_table(fib(m_max)).r
+    table = r_table(fib(m_max))
+    checkpoints = distinct_fib_upto(table.h_max)  # F_2 .. F_m_max
+    squares = table.r
+    counts = squares[checkpoints].tolist()
     np.multiply(squares, squares, out=squares)
-    # block i sums squares[fib(i+1)+1 .. fib(i+2)], with block 0 = [0, F_2]
-    starts = [0] + [fib(m) + 1 for m in range(2, m_max)]
-    values = np.cumsum(np.add.reduceat(squares, starts))
-    return FibMomentSeries(m_max=m_max, values=(0, 0, *map(int, values)))
+    # block i sums squares[F_{i+1}+1 .. F_{i+2}], with block 0 = [0, F_2]
+    starts = [0] + [f + 1 for f in checkpoints[:-1]]
+    values = np.cumsum(np.add.reduceat(squares, starts)).tolist()
+    return FibMomentSeries(m_max=m_max, counts=(0, 0, *counts), values=(0, 0, *values))
 
 
 @dataclass(frozen=True)
@@ -148,28 +158,6 @@ def verify_lemma(m_lo: int, m_hi: int) -> list[LemmaRow]:
     ]
 
 
-def w_closed_form(
-    m: int,
-    counts: CountTable | None = None,
-    moments: MomentTable | None = None,
-) -> int:
-    """w_m = V(F_{m-3}) - R(F_{m-3}) - R(F_{m-5}) - V(F_{m-5}), for m >= 7.
-
-    Any supplied tables must cover F_{m-3}.
-    """
-    if m < 7:
-        raise ValueError(f"w_m needs m >= 7, got {m}")
-    h = fib(m - 3)
-    if counts is None:
-        counts = r_table(h)
-    if moments is None:
-        moments = moments_from_counts(counts)
-    value = (
-        moments.v_at(fib(m - 3))
-        - counts.count(fib(m - 3))
-        - counts.count(fib(m - 5))
-        - moments.v_at(fib(m - 5))
-    )
-    if value < 0:
-        raise RuntimeError(f"w_{m} came out as {value} < 0: the count and moment tables disagree")
-    return value
+def w_closed_form(m: int) -> int:
+    """w_m for m >= 7, from the checkpoint values up to F_{m-3}."""
+    return fib_moment_series(m - 3).w(m)

@@ -18,9 +18,9 @@ that cap int64 is exact for the counts and for their moments:
 R(n)**2 <= n+1, so even V(H) = sum_{n<=H} R(n)**2 <= (H+1)(H+2)/2 stays far
 below 2**63.  The peak memory of a table of H+1 entries is its own 8 bytes
 per entry.  moments.moment_table peaks at 16 bytes per entry, because R
-is squared and summed in place to become V beside A;
-moments.fib_moment_series and moments.v_at_fib, which square R in place and
-sum it, peak at 8.
+is squared and summed in place to become V beside A; moments.fib_moment_series,
+which reads R at the Fibonacci checkpoints and then squares R in place and
+sums it, peaks at 8.
 """
 
 from dataclasses import dataclass

@@ -14,7 +14,7 @@ from fibvar.casework import (
 )
 from fibvar.errors import BudgetError
 from fibvar.fibonacci import distinct_fib_upto, fib
-from fibvar.moments import v_at_fib, w_closed_form
+from fibvar.moments import fib_moment_series, v_at_fib, w_closed_form
 
 
 def subset_buckets(top, lo, hi):
@@ -53,6 +53,14 @@ def reference_breakdown(m):
 def test_w_bruteforce_matches_closed_form():
     for m in range(7, 17):
         assert w_bruteforce(m) == w_closed_form(m), m
+
+
+def test_one_series_gives_every_w_up_to_its_range():
+    series = fib_moment_series(17)
+    for m in range(7, 21):
+        assert series.w(m) == w_bruteforce(m), m
+    with pytest.raises(ValueError):
+        series.w(21)
 
 
 def test_case_breakdown_m7():

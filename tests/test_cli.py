@@ -1,9 +1,10 @@
 import hashlib
 import subprocess
 import sys
-from decimal import Decimal
+from decimal import Decimal, localcontext
 
 import pytest
+import sympy as sp
 
 from fibvar import analysis, cli
 from fibvar.closed_form import closed_form_v
@@ -95,6 +96,15 @@ def test_verify_lemma_failure_exit_code(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("command", ["verify-lemma", "verify-cases", "verify-w"])
+@pytest.mark.parametrize("bounds", [("--from", "9", "--to", "8"), ("--from", "6", "--to", "8"), ("--to", "2")])
+def test_range_commands_print_usage_on_a_bad_range(capsys, command, bounds):
+    code, out, err = run_cli(capsys, command, *bounds)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith("usage: fibvar")
+
+
 def test_verify_w_subcommand(capsys):
     code, out, _ = run_cli(capsys, "verify-w", "--from", "7", "--to", "10")
     assert code == 0
@@ -118,6 +128,22 @@ def test_solve_subcommand(capsys):
     assert "c4 = 3/8" in lines
     assert any(line.startswith("c1 ~ 0.0735299") for line in lines)
     assert any(line.startswith("lambda1 = 2.4811943") for line in lines)
+
+
+def test_solve_prints_each_lambda_to_precision_places(capsys):
+    x = sp.symbols("x")
+    roots = sp.Poly(x**3 - 2 * x**2 - 2 * x + 2, x).all_roots()
+    lam2, lam5, lam1 = sorted(roots, key=lambda r: sp.N(r, 30))
+    for p in range(1, 41):
+        code, out, _ = run_cli(capsys, "solve", "--precision", str(p))
+        assert code == 0
+        printed = dict(line.split(" = ") for line in out.splitlines() if line.startswith("lambda"))
+        for name, root in (("lambda1", lam1), ("lambda2", lam2), ("lambda5", lam5)):
+            value = Decimal(printed[name])
+            assert value.as_tuple().exponent == -p, (p, name, value)
+            with localcontext() as ctx:
+                ctx.prec = p + 20
+                assert abs(value - Decimal(str(sp.N(root, p + 10)))) <= Decimal(10) ** -p, (p, name)
 
 
 def test_closed_form_subcommand(capsys):

@@ -4,10 +4,9 @@ import pytest
 
 from fibvar.fibonacci import fib
 from fibvar.moments import (
-    MomentTable,
+    FibMomentSeries,
     fib_moment_series,
     moment_table,
-    moments_from_counts,
     v_at_fib,
     verify_lemma,
     w_closed_form,
@@ -43,13 +42,10 @@ def test_v_at_fib_peak_memory_is_r_alone(peak_bytes):
     assert peak_bytes(lambda: v_at_fib(30)) <= 1.05 * 8 * (fib(30) + 1)
 
 
-def test_moments_from_counts_leaves_the_counts_intact():
-    counts = r_table(1000)
-    before = counts.r.copy()
-    mt = moments_from_counts(counts)
-    assert np.array_equal(counts.r, before)
-    assert np.array_equal(mt.a, np.cumsum(before)) and np.array_equal(mt.v, np.cumsum(before**2))
-    assert np.array_equal(mt.v, moment_table(1000).v)
+def test_moment_table_is_the_prefix_sums_of_r():
+    r = r_table(1000).r
+    mt = moment_table(1000)
+    assert np.array_equal(mt.a, np.cumsum(r)) and np.array_equal(mt.v, np.cumsum(r**2))
 
 
 def test_fib_moment_series_peak_memory_is_r_alone(peak_bytes):
@@ -60,6 +56,12 @@ def test_fib_moment_series_matches_moment_table():
     series, table = fib_moment_series(30), moment_table(fib(30))
     for m in range(2, 31):
         assert series.v(m) == table.v_at(fib(m)), m
+
+
+def test_fib_moment_series_counts_are_carlitz():
+    series, table = fib_moment_series(30), r_table(fib(30))
+    for m in range(2, 31):
+        assert series.r(m) == table.count(fib(m)) == m // 2, m
 
 
 def test_moment_arrays_strictly_increase():
@@ -126,6 +128,7 @@ def test_w_closed_form_rejects_small_m():
 
 
 def test_w_closed_form_rejects_inconsistent_tables():
-    zeros = np.zeros(4, dtype=np.int64)
+    # V(F_4) = 0 lies below R(F_4) + R(F_2) + V(F_2) = 5, so w_7 would be -5
+    series = FibMomentSeries(m_max=4, counts=(0, 0, 1, 1, 2), values=(0, 0, 2, 3, 0))
     with pytest.raises(RuntimeError, match="w_7"):
-        w_closed_form(7, counts=r_table(3), moments=MomentTable(3, a=zeros, v=zeros))
+        series.w(7)

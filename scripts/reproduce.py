@@ -15,7 +15,7 @@ from pathlib import Path
 from fibvar.analysis import exponent_report, write_figure_csv
 from fibvar.casework import verify_cases
 from fibvar.closed_form import closed_form_v, embed_coefficients, solve_closed_form
-from fibvar.moments import VARIANCE_RECURRENCE, fib_moment_series, verify_lemma
+from fibvar.moments import INITIAL, fib_moment_series, verify_lemma
 from fibvar.partitions import check_carlitz, check_sqrt_bound
 
 LEMMA_M_MAX = 28
@@ -37,8 +37,7 @@ def main() -> int:
 
     dp = fib_moment_series(30)
     print("initial data")
-    initial = VARIANCE_RECURRENCE.initial
-    check(f"V(F_2..F_6) = {initial}", dp.values[2:7] == initial)
+    check(f"V(F_2..F_6) = {INITIAL}", dp.values[2:7] == INITIAL)
 
     print(f"five-term recurrence, m in [7, {LEMMA_M_MAX}]")
     rows = verify_lemma(7, LEMMA_M_MAX)

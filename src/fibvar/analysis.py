@@ -46,7 +46,7 @@ class AsymptoticConstants:
     exponent_cs: Decimal  # 2*lambda - 1
 
 
-def exponent_report(precision: int = 30) -> AsymptoticConstants:
+def exponent_report(precision: int) -> AsymptoticConstants:
     """Compute all four constants from first principles at the given precision.
 
     phi comes from sqrt(5); lambda_1 from certified root isolation of the

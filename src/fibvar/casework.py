@@ -18,10 +18,10 @@ independent of the R table, so the case formulas and the closed form of the
 auxiliary count w_m, evaluated on moments.fib_moment_series, are checked
 against raw counting.  The enumeration is over numpy int64 arrays of running
 subset sums, grown once per Fibonacci value, with the sums that land in the
-window binned by their max part.  It keeps every subset sum up to F_m,
-A(F_m) of them (349,536 at m = 21), and peaks near 20 bytes per sum kept
-(the array, its grown part and their concatenation): 6.7 MB for
-verify_cases(21).
+window binned by their max part; one enumeration over (F_{m-3}, F_m] serves
+both the five cases and w_m.  It keeps every subset sum up to F_m, A(F_m) of
+them (349,536 at m = 21), and peaks near 21 bytes per sum kept (the array,
+its grown part and their concatenation): 6.9 MB for verify_cases(21).
 """
 
 from dataclasses import dataclass
@@ -106,18 +106,22 @@ def case_breakdown(m: int, budget: int = DEFAULT_ENUM_BUDGET) -> CaseBreakdown:
     vectors, and the window total is |a + b + d|^2 for the F_m, F_{m-1} and
     F_{m-2} vectors a, b, d.  Raises if any solution falls outside the five
     cases; for m >= 7 the maxima can only be F_m, F_{m-1} or F_{m-2}, and the
-    mixed pair {F_m, F_{m-2}} cannot have equal sums.
+    mixed pair {F_m, F_{m-2}} cannot have equal sums.  One enumeration over
+    (F_{m-3}, F_m] also gives w_m, as w_bruteforce counts it, from the part of
+    that range below the cases' window.
     """
     if m < 7:
         raise ValueError(f"the five-way case split needs m >= 7, got {m}")
     _check_budget(m, budget)
-    f_m, f_m1, f_m2 = fib(m), fib(m - 1), fib(m - 2)
-    counts = _window_counts(f_m, f_m1, f_m)
-    stray = sorted(set(counts) - {f_m, f_m1, f_m2})
+    f_m, f_m1, f_m2, f_m3 = fib(m), fib(m - 1), fib(m - 2), fib(m - 3)
+    counts = _window_counts(f_m, f_m3, f_m)
+    # the first F_{m-1} - F_{m-3} = F_{m-2} sums are w_m's window (F_{m-3}, F_{m-1}]
+    window = {v: c[f_m2:] for v, c in counts.items()}
+    stray = sorted(v for v, c in window.items() if c.any() and v not in (f_m, f_m1, f_m2))
     if stray:
         raise RuntimeError(f"solution with max part {stray[0]} outside the five cases at m={m}")
     # F_m, F_{m-1} + F_{m-2} and 2 F_{m-2} = F_{m-2} + F_{m-3} + F_{m-4} are window sums
-    a, b, d = counts[f_m], counts[f_m1], counts[f_m2]
+    a, b, d = window[f_m], window[f_m1], window[f_m2]
     if a @ d:
         raise RuntimeError(f"solution with maxima ({f_m}, {f_m2}) outside the five cases at m={m}")
     every = a + b + d
@@ -129,7 +133,7 @@ def case_breakdown(m: int, budget: int = DEFAULT_ENUM_BUDGET) -> CaseBreakdown:
         case3=int(d @ d),
         case4=2 * int(a @ b),
         case5=2 * int(b @ d),
-        w_bruteforce=w_bruteforce(m, budget=budget),
+        w_bruteforce=int(counts[f_m2][:f_m2] @ counts[f_m3][:f_m2]),
     )
 
 

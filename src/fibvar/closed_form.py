@@ -27,7 +27,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .exact import CubicElement, IsolatedRoot, isolate_real_roots, power_traces, solve_linear_system
-from .moments import VARIANCE_RECURRENCE
+from .moments import INITIAL
 
 
 def particular_part(m: int) -> Fraction:
@@ -44,7 +44,7 @@ def build_trace_system() -> tuple[list[list[Fraction]], list[Fraction]]:
     rhs = []
     for m in range(2, 7):
         matrix.append([*power_traces(m), Fraction(1), Fraction((-1) ** m)])
-        rhs.append(Fraction(VARIANCE_RECURRENCE.initial[m - 2]) - particular_part(m))
+        rhs.append(Fraction(INITIAL[m - 2]) - particular_part(m))
     return matrix, rhs
 
 
@@ -102,7 +102,7 @@ def closed_form_v(m: int, sol: ClosedFormSolution) -> Fraction:
 
 
 def embed_coefficients(
-    sol: ClosedFormSolution, digits: int = 30
+    sol: ClosedFormSolution, digits: int
 ) -> tuple[Decimal, Decimal, Decimal, Decimal, Decimal]:
     """Decimal values of (c_1, c_2, c_3, c_4, c_5), c_i attached to lambda_i.
 

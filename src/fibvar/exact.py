@@ -83,11 +83,6 @@ def power_traces(k: int) -> tuple[int, ...]:
     return tuple(3 * a + 2 * b + 8 * c for a, b, c in (x, xt, _times_theta(xt)))
 
 
-def power_trace(k: int) -> int:
-    """Sum of the k-th powers of the three roots of x^3 - 2x^2 - 2x + 2."""
-    return power_traces(k)[0]
-
-
 def solve_linear_system(
     matrix: Sequence[Sequence], rhs: Sequence
 ) -> list[Fraction]:
@@ -138,14 +133,13 @@ def solve_linear_system(
 class IsolatedRoot:
     """A rational bracket [low, high] around one simple real root.
 
-    The polynomial changes sign on the bracket, high - low <= precision, and
-    value is a decimal approximation of the midpoint.
+    The polynomial changes sign on the bracket, which is at most the requested
+    precision wide, and value is a decimal approximation of the midpoint.
     """
 
     low: Fraction
     high: Fraction
     value: Decimal
-    precision: Fraction
 
 
 def _decimal_digits(precision: Fraction) -> int:
@@ -205,7 +199,7 @@ def _newton_root(seed: float, bits: int) -> int:
     return x
 
 
-def isolate_real_roots(precision: Fraction = Fraction(1, 10**30)) -> list[IsolatedRoot]:
+def isolate_real_roots(precision: Fraction) -> list[IsolatedRoot]:
     """Isolate the three real roots of the cubic, sorted by decreasing value.
 
     Cells are [CAUCHY_BOUND * n / 2^e, CAUCHY_BOUND * (n + 1) / 2^e].  The
@@ -249,12 +243,5 @@ def isolate_real_roots(precision: Fraction = Fraction(1, 10**30)) -> list[Isolat
             )
         low = Fraction(CAUCHY_BOUND * n, 1 << e)
         high = Fraction(CAUCHY_BOUND * (n + 1), 1 << e)
-        roots.append(
-            IsolatedRoot(
-                low=low,
-                high=high,
-                value=_to_decimal((low + high) / 2, digits),
-                precision=precision,
-            )
-        )
+        roots.append(IsolatedRoot(low=low, high=high, value=_to_decimal((low + high) / 2, digits)))
     return roots

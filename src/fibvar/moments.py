@@ -8,9 +8,9 @@ checkpoints the second moment satisfies, for m >= 7,
     V(F_m) = 2 V(F_{m-1}) + 3 V(F_{m-2}) - 4 V(F_{m-3}) - 2 V(F_{m-4})
              + 2 V(F_{m-5}) + 1 - 2*floor(m/2),
 
-which VARIANCE_RECURRENCE states once and verify_lemma checks as an identity
-between two independently computed sides.  FibMomentSeries.w evaluates the
-auxiliary count
+which LAG_COEFFS and recurrence_step state once and verify_lemma checks as
+an identity between two independently computed sides.  FibMomentSeries.w
+evaluates the auxiliary count
 
     w_m = V(F_{m-3}) - R(F_{m-3}) - R(F_{m-5}) - V(F_{m-5}),
 
@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fibonacci import distinct_fib_upto, fib
-from .partitions import r_table
+from .partitions import check_table_index, r_table
 
 
 @dataclass(frozen=True)
@@ -95,6 +95,7 @@ def fib_moment_series(m_max: int) -> FibMomentSeries:
     """
     if m_max < 2:
         raise ValueError(f"m_max must be >= 2, got {m_max}")
+    check_table_index(m_max)
     table = r_table(fib(m_max))
     checkpoints = distinct_fib_upto(table.h_max)  # F_2 .. F_m_max
     squares = table.r
@@ -106,28 +107,14 @@ def fib_moment_series(m_max: int) -> FibMomentSeries:
     return FibMomentSeries(m_max=m_max, counts=(0, 0, *counts), values=(0, 0, *values))
 
 
-@dataclass(frozen=True)
-class RecurrenceSpec:
-    """The five-term recurrence for V(F_m), m >= 7, with its initial data."""
-
-    lag_coeffs: tuple[int, ...] = (2, 3, -4, -2, 2)
-    initial: tuple[int, ...] = (2, 3, 7, 12, 26)  # V(F_2)..V(F_6)
-
-    @property
-    def char_poly(self) -> tuple[int, ...]:
-        """Characteristic polynomial of the homogeneous part, ascending degree."""
-        return tuple(-c for c in reversed(self.lag_coeffs)) + (1,)
-
-    def forcing(self, m: int) -> int:
-        return 1 - 2 * (m // 2)
-
-    def step(self, history, m: int):
-        """history[-1] is the value at m-1, back to history[-5] at m-5."""
-        homog = sum(c * history[-lag] for lag, c in enumerate(self.lag_coeffs, start=1))
-        return homog + self.forcing(m)
+LAG_COEFFS = (2, 3, -4, -2, 2)  # the factors of V(F_{m-1}) .. V(F_{m-5})
+INITIAL = (2, 3, 7, 12, 26)  # V(F_2)..V(F_6)
 
 
-VARIANCE_RECURRENCE = RecurrenceSpec()
+def recurrence_step(history, m: int):
+    """The recurrence's V(F_m): history[-1] is the value at m-1, back to history[-5] at m-5."""
+    homog = sum(c * history[-lag] for lag, c in enumerate(LAG_COEFFS, start=1))
+    return homog + 1 - 2 * (m // 2)
 
 
 class LemmaRow(NamedTuple):
@@ -143,7 +130,7 @@ class LemmaRow(NamedTuple):
 def verify_lemma(m_lo: int, m_hi: int) -> list[LemmaRow]:
     """Compare V(F_m) from the tables against the five-term recurrence.
 
-    The left side is the table value; the right side is VARIANCE_RECURRENCE
+    The left side is the table value; the right side is recurrence_step
     applied to the five preceding checkpoint values.  The recurrence only
     holds from m = 7, so smaller m_lo is a domain error.
     """
@@ -153,11 +140,6 @@ def verify_lemma(m_lo: int, m_hi: int) -> list[LemmaRow]:
         raise ValueError(f"empty range [{m_lo}, {m_hi}]")
     series = fib_moment_series(m_hi)
     return [
-        LemmaRow(m, series.v(m), VARIANCE_RECURRENCE.step(series.values[m - 5 : m], m))
+        LemmaRow(m, series.v(m), recurrence_step(series.values[m - 5 : m], m))
         for m in range(m_lo, m_hi + 1)
     ]
-
-
-def w_closed_form(m: int) -> int:
-    """w_m for m >= 7, from the checkpoint values up to F_{m-3}."""
-    return fib_moment_series(m - 3).w(m)

@@ -13,9 +13,10 @@ n - F_k, or lies inside {F_2..F_{k-1}}, whose values sum to F_{k+1} - 2,
 and its complement there is a partition of F_{k+1} - 2 - n.  Both arguments
 lie below F_k.
 
-r_table refuses any table of more than MAX_TABLE_ENTRIES entries, and below
-that cap int64 is exact for the counts and for their moments:
-R(n)**2 <= n+1, so even V(H) = sum_{n<=H} R(n)**2 <= (H+1)(H+2)/2 stays far
+r_table refuses any table of more than MAX_TABLE_ENTRIES entries, and
+check_table_index refuses one up to F_m past MAX_TABLE_INDEX from m alone,
+before F_m is formed.  Below that cap int64 is exact for the counts and for
+their moments: R(n)**2 <= n+1, so even V(H) = sum_{n<=H} R(n)**2 <= (H+1)(H+2)/2 stays far
 below 2**63.  The peak memory of a table of H+1 entries is its own 8 bytes
 per entry.  moments.moment_table peaks at 16 bytes per entry, because R
 is squared and summed in place to become V beside A; moments.fib_moment_series,
@@ -32,6 +33,8 @@ from .errors import BudgetError
 from .fibonacci import distinct_fib_upto, fib
 
 MAX_TABLE_ENTRIES = 10**8  # 0.8 GB for R alone, 1.6 GB for moment_table
+# the largest m whose table R(0..F_m) fits: F_39 < 10**8 <= F_40
+MAX_TABLE_INDEX = len(distinct_fib_upto(MAX_TABLE_ENTRIES - 1)) + 1
 
 
 @dataclass(frozen=True)
@@ -77,6 +80,15 @@ def r_table(h_max: int) -> CountTable:
     return CountTable(h_max=h_max, r=r)
 
 
+def check_table_index(m: int) -> None:
+    """Refuse a table up to F_m past the cap from m alone, before F_m is formed."""
+    if m > MAX_TABLE_INDEX:
+        raise BudgetError(
+            f"a table up to F_{m} exceeds the budget of {MAX_TABLE_ENTRIES} entries "
+            f"(m <= {MAX_TABLE_INDEX})"
+        )
+
+
 def r(n: int) -> int:
     """R(n) for a single argument; negative n gives 0."""
     if n < 0:
@@ -98,6 +110,7 @@ def check_carlitz(m_max: int) -> list[CarlitzRow]:
     """Check Carlitz's identity R(F_m) = floor(m/2) for 2 <= m <= m_max."""
     if m_max < 2:
         raise ValueError(f"m_max must be >= 2, got {m_max}")
+    check_table_index(m_max)
     table = r_table(fib(m_max))
     return [CarlitzRow(m, table.count(fib(m)), m // 2) for m in range(2, m_max + 1)]
 

@@ -12,14 +12,9 @@ import pytest
 
 from fibvar.analysis import exponent_report, write_figure_csv
 from fibvar.casework import verify_cases
-from fibvar.closed_form import (
-    VARIANCE_RECURRENCE,
-    closed_form_v,
-    embed_coefficients,
-    solve_closed_form,
-)
+from fibvar.closed_form import closed_form_v, embed_coefficients, solve_closed_form
 from fibvar.fibonacci import distinct_fib_upto, fib
-from fibvar.moments import fib_moment_series, moment_table, verify_lemma, w_closed_form
+from fibvar.moments import fib_moment_series, moment_table, recurrence_step, verify_lemma
 from fibvar.partitions import check_carlitz, check_sqrt_bound
 
 
@@ -71,7 +66,7 @@ def test_criterion_03_case_decomposition():
         checks = {c.name: c for c in report.checks}
         assert checks["case_sum"].actual == checks["window_total"].actual
         assert checks["window_total"].actual == series.v(report.m) - series.v(report.m - 1)
-        assert checks["w"].actual == w_closed_form(report.m)
+        assert checks["w"].actual == fib_moment_series(report.m - 3).w(report.m)
     _report("3 (five cases + w, m in [7,16])", elapsed, 30.0)
 
 
@@ -106,7 +101,7 @@ def test_criterion_06_exact_closed_form():
         assert int(values[m]) == series.v(m)
     for m in range(7, 61):
         history = [values[m - lag] for lag in range(5, 0, -1)]
-        assert values[m] == VARIANCE_RECURRENCE.step(history, m)
+        assert values[m] == recurrence_step(history, m)
     _report("6 (closed form: integral, matches DP, solves recurrence)", elapsed, 1.0)
 
 

@@ -14,7 +14,7 @@ from fibvar.casework import (
 )
 from fibvar.errors import BudgetError
 from fibvar.fibonacci import distinct_fib_upto, fib
-from fibvar.moments import fib_moment_series, v_at_fib, w_closed_form
+from fibvar.moments import fib_moment_series, v_at_fib
 
 
 def subset_buckets(top, lo, hi):
@@ -52,7 +52,7 @@ def reference_breakdown(m):
 
 def test_w_bruteforce_matches_closed_form():
     for m in range(7, 17):
-        assert w_bruteforce(m) == w_closed_form(m), m
+        assert w_bruteforce(m) == fib_moment_series(m - 3).w(m), m
 
 
 def test_one_series_gives_every_w_up_to_its_range():
@@ -125,6 +125,13 @@ def _patched_window_counts(monkeypatch, change):
         return counts
 
     monkeypatch.setattr(casework, "_window_counts", patched)
+
+
+def test_case_breakdown_enumerates_once(monkeypatch):
+    calls = []
+    _patched_window_counts(monkeypatch, lambda counts, top: calls.append(top))
+    case_breakdown(9)
+    assert calls == [fib(9)]
 
 
 def test_stray_max_part_is_rejected(monkeypatch):

@@ -227,6 +227,21 @@ def test_range_past_enumeration_budget_prints_nothing(capsys, argv):
     assert "budget" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-carlitz", "--to", "21000"],
+        ["verify-lemma", "--to", "1000000"],
+    ],
+)
+def test_checkpoint_past_table_budget_is_refused_on_m(capsys, argv):
+    # F_m here has thousands of digits; the refusal must come before it is formed
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "budget" in err
+
+
 def test_module_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "fibvar.cli", "r", "--n", "55"],

@@ -12,14 +12,14 @@ from fibvar.closed_form import (
     particular_part,
 )
 from fibvar.exact import CUBIC_MIN_POLY
-from fibvar.moments import VARIANCE_RECURRENCE, v_at_fib
+from fibvar.moments import LAG_COEFFS, recurrence_step, v_at_fib
 
 
 def test_characteristic_polynomial_factorization():
     # the recurrence's characteristic polynomial is (x - 1)(x + 1) times the
     # cubic whose roots the closed form is built on
     x = sp.symbols("x")
-    char_poly = sp.Poly(list(reversed(VARIANCE_RECURRENCE.char_poly)), x)
+    char_poly = sp.Poly([1, *(-c for c in LAG_COEFFS)], x)
     cubic = sp.Poly(list(reversed(CUBIC_MIN_POLY)), x)
     assert char_poly == sp.Poly(x**5 - 2 * x**4 - 3 * x**3 + 4 * x**2 + 2 * x - 2, x)
     assert cubic == sp.Poly(x**3 - 2 * x**2 - 2 * x + 2, x)
@@ -147,11 +147,10 @@ def test_closed_form_integral_through_60(solution):
 
 
 def test_closed_form_satisfies_recurrence(solution):
-    rec = VARIANCE_RECURRENCE
     values = {m: closed_form_v(m, solution) for m in range(2, 1001)}
     for m in range(7, 1001):
         history = [values[m - lag] for lag in range(5, 0, -1)]
-        assert values[m] == rec.step(history, m)
+        assert values[m] == recurrence_step(history, m)
 
 
 def test_homogeneous_part_satisfies_homogeneous_recurrence(solution):

@@ -9,7 +9,6 @@ from fibvar.moments import (
     moment_table,
     v_at_fib,
     verify_lemma,
-    w_closed_form,
 )
 from fibvar.partitions import r_table
 
@@ -117,14 +116,14 @@ def test_verify_lemma_rejects_small_m():
 
 
 def test_w_closed_form_values():
-    assert w_closed_form(7) == 2
-    assert w_closed_form(8) == 6
-    assert w_closed_form(9) == 14  # V(F_6) - R(F_6) - R(F_4) - V(F_4) = 26 - 3 - 2 - 7
+    assert fib_moment_series(4).w(7) == 2
+    assert fib_moment_series(5).w(8) == 6
+    assert fib_moment_series(6).w(9) == 14  # V(F_6) - R(F_6) - R(F_4) - V(F_4) = 26 - 3 - 2 - 7
 
 
 def test_w_closed_form_rejects_small_m():
     with pytest.raises(ValueError):
-        w_closed_form(6)
+        fib_moment_series(3).w(6)
 
 
 def test_w_closed_form_rejects_inconsistent_tables():

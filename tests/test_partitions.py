@@ -7,7 +7,16 @@ from hypothesis import strategies as st
 
 from fibvar.errors import BudgetError
 from fibvar.fibonacci import distinct_fib_upto, fib
-from fibvar.partitions import CarlitzRow, check_carlitz, check_sqrt_bound, r, r_table
+from fibvar.moments import fib_moment_series
+from fibvar.partitions import (
+    MAX_TABLE_ENTRIES,
+    MAX_TABLE_INDEX,
+    CarlitzRow,
+    check_carlitz,
+    check_sqrt_bound,
+    r,
+    r_table,
+)
 
 FIB_K_MAX = 33  # F_33 = 3524578
 
@@ -140,5 +149,9 @@ def test_check_sqrt_bound_examples():
 def test_budget_errors():
     with pytest.raises(BudgetError):
         r_table(10**8)
+    assert MAX_TABLE_INDEX == 39 and fib(39) < MAX_TABLE_ENTRIES <= fib(40)
+    for check in (check_carlitz, fib_moment_series):
+        with pytest.raises(BudgetError, match="F_40"):
+            check(40)
     with pytest.raises(ValueError):
         r_table(-1)

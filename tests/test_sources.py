@@ -1,6 +1,8 @@
 """Rules that every module of the package keeps."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fibvar"
@@ -15,3 +17,15 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert offenders == []
+
+
+def test_package_import_loads_no_submodule():
+    # `import fibvar` exports nothing; users import the submodules they need
+    probe = (
+        f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import fibvar; "
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('fibvar.')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-I", "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

@@ -2,15 +2,18 @@
 
 A(H) = sum_{n<=H} R(n) and V(H) = sum_{n<=H} R(n)^2 over a range come from
 moment_table, as prefix-sum arrays.  R(F_m) and V(F_m) at the Fibonacci
-checkpoints come from fib_moment_series, which keeps no array.  Along the
-checkpoints the second moment satisfies, for m >= 7,
+checkpoints come from fib_moment_series, which reads them off one R table up
+to F_m and keeps no array.  Along the checkpoints the second moment
+satisfies, for m >= 7,
 
     V(F_m) = 2 V(F_{m-1}) + 3 V(F_{m-2}) - 4 V(F_{m-3}) - 2 V(F_{m-4})
              + 2 V(F_{m-5}) + 1 - 2*floor(m/2),
 
 which LAG_COEFFS and recurrence_step state once and verify_lemma checks as
-an identity between two independently computed sides.  FibMomentSeries.w
-evaluates the auxiliary count
+an identity between two independently computed sides.  verify_lemma takes
+V(F_m) from sweep.fib_pair_counts instead of the table, so it reaches m =
+sweep.MAX_SWEEP_INDEX where the table stops at partitions.MAX_TABLE_INDEX.
+FibMomentSeries.w evaluates the auxiliary count
 
     w_m = V(F_{m-3}) - R(F_{m-3}) - R(F_{m-5}) - V(F_{m-5}),
 
@@ -24,6 +27,7 @@ import numpy as np
 
 from .fibonacci import distinct_fib_upto, fib
 from .partitions import check_table_index, r_table
+from .sweep import fib_pair_counts
 
 
 @dataclass(frozen=True)
@@ -128,18 +132,20 @@ class LemmaRow(NamedTuple):
 
 
 def verify_lemma(m_lo: int, m_hi: int) -> list[LemmaRow]:
-    """Compare V(F_m) from the tables against the five-term recurrence.
+    """Compare V(F_m) from the sweep against the five-term recurrence.
 
-    The left side is the table value; the right side is recurrence_step
-    applied to the five preceding checkpoint values.  The recurrence only
-    holds from m = 7, so smaller m_lo is a domain error.
+    The left side is sweep.fib_pair_counts's V(F_m), which counts pairs of
+    subsets and never uses the recurrence; the right side is recurrence_step
+    applied to the sweep's five preceding values.  The recurrence only holds
+    from m = 7, so smaller m_lo is a domain error; m_hi is capped by
+    sweep.MAX_SWEEP_INDEX.
     """
     if m_lo < 7:
         raise ValueError(f"the recurrence needs m >= 7, got m_lo={m_lo}")
     if m_hi < m_lo:
         raise ValueError(f"empty range [{m_lo}, {m_hi}]")
-    series = fib_moment_series(m_hi)
+    values = fib_pair_counts(m_hi)  # values[i] is V(F_{i+2})
     return [
-        LemmaRow(m, series.v(m), recurrence_step(series.values[m - 5 : m], m))
+        LemmaRow(m, values[m - 2], recurrence_step(values[m - 7 : m - 2], m))
         for m in range(m_lo, m_hi + 1)
     ]

@@ -18,10 +18,17 @@ check_table_index refuses one up to F_m past MAX_TABLE_INDEX from m alone,
 before F_m is formed.  Below that cap int64 is exact for the counts and for
 their moments: R(n)**2 <= n+1, so even V(H) = sum_{n<=H} R(n)**2 <= (H+1)(H+2)/2 stays far
 below 2**63.  The peak memory of a table of H+1 entries is its own 8 bytes
-per entry.  moments.moment_table peaks at 16 bytes per entry, because R
-is squared and summed in place to become V beside A; moments.fib_moment_series,
-which reads R at the Fibonacci checkpoints and then squares R in place and
-sums it, peaks at 8.
+per entry, and check_sqrt_bound, which squares it in place and compares it a
+chunk at a time, adds one chunk.
+moments.moment_table peaks at 16 bytes per entry, because R is squared and
+summed in place to become V beside A; moments.fib_moment_series, which reads
+R at the Fibonacci checkpoints and then squares R in place and sums it,
+peaks at 8.
+
+check_carlitz needs R only at the checkpoints F_m, and takes it from
+sweep.fib_partition_counts, which holds a few states per Fibonacci value
+instead of a table, so it reaches m = sweep.MAX_SWEEP_INDEX instead of
+MAX_TABLE_INDEX.
 """
 
 from dataclasses import dataclass
@@ -30,7 +37,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BudgetError
-from .fibonacci import distinct_fib_upto, fib
+from .fibonacci import distinct_fib_upto
+from .sweep import fib_partition_counts
 
 MAX_TABLE_ENTRIES = 10**8  # 0.8 GB for R alone, 1.6 GB for moment_table
 # the largest m whose table R(0..F_m) fits: F_39 < 10**8 <= F_40
@@ -107,12 +115,13 @@ class CarlitzRow(NamedTuple):
 
 
 def check_carlitz(m_max: int) -> list[CarlitzRow]:
-    """Check Carlitz's identity R(F_m) = floor(m/2) for 2 <= m <= m_max."""
-    if m_max < 2:
-        raise ValueError(f"m_max must be >= 2, got {m_max}")
-    check_table_index(m_max)
-    table = r_table(fib(m_max))
-    return [CarlitzRow(m, table.count(fib(m)), m // 2) for m in range(2, m_max + 1)]
+    """Check Carlitz's identity R(F_m) = floor(m/2) for 2 <= m <= m_max.
+
+    R(F_m) comes from sweep.fib_partition_counts, not from a table, so m_max
+    is capped by sweep.MAX_SWEEP_INDEX.
+    """
+    counts = fib_partition_counts(m_max)
+    return [CarlitzRow(m, counts[m - 2], m // 2) for m in range(2, m_max + 1)]
 
 
 class SqrtBoundResult(NamedTuple):
@@ -120,17 +129,28 @@ class SqrtBoundResult(NamedTuple):
     equality_positions: list[int]
 
 
+SQRT_CHUNK = 1 << 16  # entries per comparison pass: 512 KB of int64, L2-sized
+
+
 def check_sqrt_bound(h_max: int) -> SqrtBoundResult:
     """Check R(n) <= sqrt(n+1) on [0, h_max] and locate the equality cases.
 
     Passes iff the bound holds everywhere and equality happens exactly at
-    n = F_m**2 - 1 for Fibonacci numbers F_m, m >= 2.
+    n = F_m**2 - 1 for Fibonacci numbers F_m, m >= 2.  The table is squared
+    in place and turned into the slack n + 1 - R(n)**2 a chunk at a time
+    against one ramp of n + 1, so the peak is the table's own 8 bytes per
+    entry and one chunk.
     """
-    table = r_table(h_max)
-    n_plus_1 = np.arange(1, h_max + 2, dtype=np.int64)
-    squares = table.r * table.r
-    bound_ok = bool(np.all(squares <= n_plus_1))
-    equality = np.flatnonzero(squares == n_plus_1)
+    r = r_table(h_max).r
+    np.multiply(r, r, out=r)
+    ramp = np.arange(1, SQRT_CHUNK + 1, dtype=np.int64)
+    bound_ok = True
+    positions = []
+    for lo in range(0, h_max + 1, SQRT_CHUNK):
+        slack = r[lo : lo + SQRT_CHUNK]
+        np.subtract(ramp[: len(slack)], slack, out=slack)
+        bound_ok = bound_ok and bool(slack.min() >= 0)
+        positions += (np.flatnonzero(slack == 0) + lo).tolist()
+        ramp += SQRT_CHUNK
     expected = sorted({f * f - 1 for f in distinct_fib_upto(h_max + 1) if f * f - 1 <= h_max})
-    positions = [int(n) for n in equality]
     return SqrtBoundResult(bound_ok and positions == expected, positions)

@@ -11,12 +11,14 @@ from fibvar.moments import fib_moment_series
 from fibvar.partitions import (
     MAX_TABLE_ENTRIES,
     MAX_TABLE_INDEX,
+    SQRT_CHUNK,
     CarlitzRow,
     check_carlitz,
     check_sqrt_bound,
     r,
     r_table,
 )
+from fibvar.sweep import MAX_SWEEP_INDEX
 
 FIB_K_MAX = 33  # F_33 = 3524578
 
@@ -146,12 +148,58 @@ def test_check_sqrt_bound_examples():
     assert positions == [0, 3, 8, 24, 63, 168]
 
 
+def sqrt_bound_reference(h_max):
+    """check_sqrt_bound on full-length arrays of n + 1 and R(n)**2."""
+    table = r_table(h_max)
+    n_plus_1 = np.arange(1, h_max + 2, dtype=np.int64)
+    squares = table.r * table.r
+    bound_ok = bool(np.all(squares <= n_plus_1))
+    equality = np.flatnonzero(squares == n_plus_1)
+    expected = sorted({f * f - 1 for f in distinct_fib_upto(h_max + 1) if f * f - 1 <= h_max})
+    positions = [int(n) for n in equality]
+    return bound_ok and positions == expected, positions
+
+
+@pytest.mark.parametrize("h_max", [SQRT_CHUNK - 1, SQRT_CHUNK, SQRT_CHUNK + 1, 3 * SQRT_CHUNK])
+def test_check_sqrt_bound_matches_full_arrays_at_chunk_edges(h_max):
+    assert check_sqrt_bound(h_max) == sqrt_bound_reference(h_max)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=3 * 10**5))
+def test_check_sqrt_bound_matches_full_arrays(h_max):
+    assert check_sqrt_bound(h_max) == sqrt_bound_reference(h_max)
+
+
+def test_check_sqrt_bound_peak_memory_is_the_table(peak_bytes):
+    # the table, its one ramp and a chunk's comparison; full-length temporaries were 3.3 tables
+    h = 10**6
+    assert peak_bytes(lambda: check_sqrt_bound(h)) <= 1.05 * 8 * (h + 1) + 10 * SQRT_CHUNK
+
+
+@pytest.mark.parametrize("n, value", [(SQRT_CHUNK + 5, 1000), (15, 4)])
+def test_check_sqrt_bound_fails_on_a_wrong_table(monkeypatch, n, value):
+    # a violation past the first chunk, or an equality at n = 15, which is no F_m**2 - 1
+    real = r_table
+
+    def corrupted(h_max):
+        table = real(h_max)
+        table.r[n] = value
+        return table
+
+    monkeypatch.setattr("fibvar.partitions.r_table", corrupted)
+    passed, positions = check_sqrt_bound(2 * SQRT_CHUNK)
+    assert not passed
+    assert (n in positions) == (value**2 == n + 1)
+
+
 def test_budget_errors():
     with pytest.raises(BudgetError):
         r_table(10**8)
     assert MAX_TABLE_INDEX == 39 and fib(39) < MAX_TABLE_ENTRIES <= fib(40)
-    for check in (check_carlitz, fib_moment_series):
-        with pytest.raises(BudgetError, match="F_40"):
-            check(40)
+    with pytest.raises(BudgetError, match="F_40"):
+        fib_moment_series(40)
+    with pytest.raises(BudgetError, match=f"F_{MAX_SWEEP_INDEX + 1}"):
+        check_carlitz(MAX_SWEEP_INDEX + 1)
     with pytest.raises(ValueError):
         r_table(-1)

@@ -1,0 +1,61 @@
+import time
+
+import pytest
+
+from fibvar.closed_form import closed_form_v
+from fibvar.errors import BudgetError
+from fibvar.moments import fib_moment_series, verify_lemma
+from fibvar.partitions import MAX_TABLE_INDEX, check_carlitz
+from fibvar.sweep import MAX_SWEEP_INDEX, fib_pair_counts, fib_partition_counts
+
+
+def test_sweep_matches_the_table_at_every_checkpoint_it_allows():
+    series = fib_moment_series(MAX_TABLE_INDEX)  # the R table up to F_39
+    ms = range(2, MAX_TABLE_INDEX + 1)
+    assert fib_pair_counts(MAX_TABLE_INDEX) == [series.v(m) for m in ms]
+    assert fib_partition_counts(MAX_TABLE_INDEX) == [series.r(m) for m in ms]
+
+
+def test_sweep_of_a_shorter_range_is_a_prefix():
+    # every start enters at its own level, so m_max only adds levels above
+    for m_max in range(2, 12):
+        assert fib_pair_counts(m_max) == fib_pair_counts(12)[: m_max - 1]
+        assert fib_partition_counts(m_max) == fib_partition_counts(12)[: m_max - 1]
+
+
+def test_sweep_matches_the_closed_form_far_past_the_table(solution):
+    values = fib_pair_counts(MAX_SWEEP_INDEX)
+    for m in (100, 1000, MAX_SWEEP_INDEX):
+        assert values[m - 2] == closed_form_v(m, solution), m
+    # the CLI prints V(F_m) with str(), which refuses more than 4300 digits
+    assert len(str(values[-1])) == 3946
+
+
+def test_carlitz_holds_to_the_sweep_cap():
+    rows = check_carlitz(MAX_SWEEP_INDEX)
+    assert [row.m for row in rows] == list(range(2, MAX_SWEEP_INDEX + 1))
+    assert all(row.ok for row in rows)
+
+
+def test_lemma_holds_past_the_table():
+    rows = verify_lemma(7, 400)
+    assert all(row.equal for row in rows)
+
+
+@pytest.mark.parametrize("check", [lambda m: verify_lemma(7, m), check_carlitz])
+def test_past_the_sweep_cap_is_refused_on_m(check):
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match=f"F_{MAX_SWEEP_INDEX + 1}"):
+        check(MAX_SWEEP_INDEX + 1)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_sweep_rejects_small_m():
+    for count in (fib_pair_counts, fib_partition_counts):
+        with pytest.raises(ValueError):
+            count(1)
+
+
+def test_sweep_peak_memory(peak_bytes):
+    # a few kilobytes a level, where a table up to F_3000 would hold 10**626 entries
+    assert peak_bytes(lambda: fib_pair_counts(3000)) <= 8 * 2**20

@@ -25,7 +25,6 @@ in 0 with x * 10^(11-e) within 1e-3 of m.
 
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from fractions import Fraction
 from typing import TextIO
 
 import numpy as np
@@ -54,7 +53,7 @@ def exponent_report(precision: int) -> AsymptoticConstants:
     """
     if precision < 1:
         raise ValueError(f"precision must be >= 1, got {precision}")
-    lam1 = isolate_real_roots(Fraction(1, 10 ** (precision + 5)))[0].value
+    lam1 = isolate_real_roots(precision + 5)[0].value
     with localcontext() as ctx:
         ctx.prec = precision + 10
         phi = (1 + Decimal(5).sqrt()) / 2

@@ -19,9 +19,10 @@ auxiliary count w_m, evaluated on moments.fib_moment_series, are checked
 against raw counting.  The enumeration is over numpy int64 arrays of running
 subset sums, grown once per Fibonacci value, with the sums that land in the
 window binned by their max part; one enumeration over (F_{m-3}, F_m] serves
-both the five cases and w_m.  It keeps every subset sum up to F_m, A(F_m) of
-them (349,536 at m = 21), and peaks near 21 bytes per sum kept (the array,
-its grown part and their concatenation): 6.9 MB for verify_cases(21).
+both the five cases and w_m, whose check is the "w" row of verify_cases.  It
+keeps every subset sum up to F_m, A(F_m) of them (349,536 at m = 21), and
+peaks near 21 bytes per sum kept (the array, its grown part and their
+concatenation): 6.9 MB for verify_cases(21).
 """
 
 from dataclasses import dataclass
@@ -34,14 +35,6 @@ from .fibonacci import distinct_fib_upto, fib
 from .moments import fib_moment_series
 
 DEFAULT_ENUM_BUDGET = 20  # largest Fibonacci index whose subset space we enumerate
-
-
-def _check_budget(m: int, budget: int) -> None:
-    if m > budget:
-        raise BudgetError(
-            f"enumeration at m={m} exceeds the budget cap {budget} "
-            f"({2 ** (budget - 1)} subsets)"
-        )
 
 
 def _window_counts(top: int, lo: int, hi: int) -> dict[int, np.ndarray]:
@@ -64,22 +57,6 @@ def _window_counts(top: int, lo: int, hi: int) -> dict[int, np.ndarray]:
             counts[v] = np.bincount(in_window - (lo + 1), minlength=hi - lo)
         sums = np.concatenate((sums, grown))
     return counts
-
-
-def w_bruteforce(m: int, budget: int = DEFAULT_ENUM_BUDGET) -> int:
-    """Exhaustive count of the auxiliary system behind case 5 / case 3.
-
-    Counts pairs with the x side topped by F_{m-2}, the y side topped by
-    F_{m-3}, equal totals in (F_{m-3}, F_{m-1}]: both sides are subsets of
-    F_2..F_{m-2}, told apart by their max part.
-    """
-    if m < 7:
-        raise ValueError(f"auxiliary count needs m >= 7, got {m}")
-    _check_budget(m, budget)
-    x_top, y_top = fib(m - 2), fib(m - 3)
-    counts = _window_counts(x_top, y_top, fib(m - 1))
-    # both tops reach the window: F_{m-2} alone, F_{m-3} + F_{m-4}
-    return int(counts[x_top] @ counts[y_top])
 
 
 @dataclass(frozen=True)
@@ -107,12 +84,16 @@ def case_breakdown(m: int, budget: int = DEFAULT_ENUM_BUDGET) -> CaseBreakdown:
     F_{m-2} vectors a, b, d.  Raises if any solution falls outside the five
     cases; for m >= 7 the maxima can only be F_m, F_{m-1} or F_{m-2}, and the
     mixed pair {F_m, F_{m-2}} cannot have equal sums.  One enumeration over
-    (F_{m-3}, F_m] also gives w_m, as w_bruteforce counts it, from the part of
-    that range below the cases' window.
+    (F_{m-3}, F_m] also gives w_bruteforce, the exhaustive w_m, from the part
+    of that range below the cases' window: pairs with the x side topped by
+    F_{m-2}, the y side by F_{m-3}, and equal totals in (F_{m-3}, F_{m-1}].
     """
     if m < 7:
         raise ValueError(f"the five-way case split needs m >= 7, got {m}")
-    _check_budget(m, budget)
+    if m > budget:
+        raise BudgetError(
+            f"enumeration at m={m} exceeds the budget cap {budget} ({2 ** (budget - 1)} subsets)"
+        )
     f_m, f_m1, f_m2, f_m3 = fib(m), fib(m - 1), fib(m - 2), fib(m - 3)
     counts = _window_counts(f_m, f_m3, f_m)
     # the first F_{m-1} - F_{m-3} = F_{m-2} sums are w_m's window (F_{m-3}, F_{m-1}]
@@ -166,8 +147,6 @@ def verify_cases(m: int, budget: int = DEFAULT_ENUM_BUDGET) -> CaseReport:
     included, comes from one fib_moment_series(m), so only the enumeration
     at m counts against the budget.
     """
-    if m < 7:
-        raise ValueError(f"case verification needs m >= 7, got {m}")
     bd = case_breakdown(m, budget=budget)
     s = fib_moment_series(m)
     case3_expected = (

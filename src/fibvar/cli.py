@@ -1,12 +1,15 @@
 """Command-line surface: tables, verifications, the exact solve, and figure data.
 
-Exit codes: 0 success / all checks pass, 1 usage error, 2 a verification
-failed, 3 a memory or enumeration budget was exceeded, 4 an internal error
-(a RuntimeError from the library, such as a failed root certificate).
+Exit codes: 0 success / all checks pass, 1 usage error (argument parsing
+only), 2 a verification failed, 3 a memory or enumeration budget was
+exceeded, 4 an internal error (a RuntimeError or ValueError from the
+library, such as a failed root certificate), 141 stdout was closed early.
 """
 
 import argparse
+import os
 import sys
+from collections.abc import Iterable
 from decimal import Decimal
 
 from . import analysis, casework, closed_form, moments, partitions
@@ -18,6 +21,7 @@ EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell shows for a writer cut off by its reader
 
 
 class _UsageError(Exception):
@@ -31,9 +35,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _at_least(floor: int):
+    """An argparse type: an int no smaller than floor."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"must be >= {floor}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports bad text as "invalid int value"
+    return parse
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fibvar", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", metavar="command")
+    sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
     def add(name, handler, help_text):
         p = sub.add_parser(name, help=help_text)
@@ -47,55 +64,55 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
 
     p = add("zeckendorf", _cmd_zeckendorf, "print the Zeckendorf decomposition of n")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_at_least(1), required=True)
 
     p = add("table", _cmd_table, "CSV of n,R(n) for 0 <= n <= h-max")
-    p.add_argument("--h-max", type=int, required=True)
+    p.add_argument("--h-max", type=_at_least(0), required=True)
 
     p = add("moments", _cmd_moments, "CSV of n,R(n),A(n),V(n) for 0 <= n <= h-max")
-    p.add_argument("--h-max", type=int, required=True)
+    p.add_argument("--h-max", type=_at_least(0), required=True)
 
     p = add(
         "verify-lemma", _cmd_verify_lemma,
         "check the five-term recurrence for V(F_m) on a range of m",
     )
-    p.add_argument("--from", dest="m_lo", type=int, default=7)
+    p.add_argument("--from", dest="m_lo", type=_at_least(7), default=7)
     p.add_argument("--to", dest="m_hi", type=int, required=True)
 
     p = add(
         "verify-cases", _cmd_verify_cases,
         "brute-force the five-way case decomposition on a range of m",
     )
-    p.add_argument("--from", dest="m_lo", type=int, default=7)
+    p.add_argument("--from", dest="m_lo", type=_at_least(7), default=7)
     p.add_argument("--to", dest="m_hi", type=int, required=True)
 
     p = add(
         "verify-w", _cmd_verify_w,
         "compare the brute-forced auxiliary count w_m with its closed form",
     )
-    p.add_argument("--from", dest="m_lo", type=int, default=7)
+    p.add_argument("--from", dest="m_lo", type=_at_least(7), default=7)
     p.add_argument("--to", dest="m_hi", type=int, required=True)
 
     p = add("solve", _cmd_solve, "solve the recurrence exactly and print the coefficients")
-    p.add_argument("--precision", type=int, default=30)
+    p.add_argument("--precision", type=_at_least(1), default=30)
 
     p = add("closed-form", _cmd_closed_form, "evaluate the exact closed form of V(F_m)")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_at_least(2), required=True)
 
     p = add("exponents", _cmd_exponents, "print phi, lambda, and the variance growth exponents")
-    p.add_argument("--precision", type=int, default=30)
+    p.add_argument("--precision", type=_at_least(1), default=30)
 
     p = add("figure", _cmd_figure, "CSV of H,V,norm_cs,norm_main for 1 <= H <= h-max")
-    p.add_argument("--h-max", type=int, required=True)
+    p.add_argument("--h-max", type=_at_least(1), required=True)
 
     p = add("check-carlitz", _cmd_check_carlitz, "check R(F_m) = floor(m/2) for 2 <= m <= to")
-    p.add_argument("--to", dest="m_max", type=int, required=True)
+    p.add_argument("--to", dest="m_max", type=_at_least(2), required=True)
 
     p = add(
         "check-sqrt-bound", _cmd_check_sqrt_bound,
         "check R(n) <= sqrt(n+1) and its equality set up to h-max",
     )
-    p.add_argument("--h-max", type=int, required=True)
+    p.add_argument("--h-max", type=_at_least(0), required=True)
 
     return parser
 
@@ -106,8 +123,6 @@ def _cmd_r(args) -> int:
 
 
 def _cmd_zeckendorf(args) -> int:
-    if args.n < 1:
-        raise _UsageError(f"--n must be >= 1, got {args.n}")
     repr_ = zeckendorf(args.n)
     terms = " + ".join(f"F_{i}" for i in repr_.indices)
     values = " + ".join(str(fib(i)) for i in repr_.indices)
@@ -130,47 +145,57 @@ def _cmd_moments(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify_lemma(args) -> int:
-    ms = _m_range(args)
-    rows = moments.verify_lemma(ms[0], ms[-1])
-    for row in rows:
-        print(f"m={row.m} lhs={row.lhs} rhs={row.rhs} {'PASS' if row.equal else 'FAIL'}")
-    ok = all(row.equal for row in rows)
-    print(f"verify-lemma: {'PASS' if ok else 'FAIL'} ({sum(r.equal for r in rows)}/{len(rows)})")
-    return EXIT_OK if ok else EXIT_VERIFY
+def _report(name: str, rows: Iterable[tuple[str, bool]], tally: bool = False) -> int:
+    """Print each (text, ok) row with its verdict as it comes, then the summary.
+
+    The summary "name: PASS|FAIL" ends in (passed/rows) when tally is set.
+    """
+    passed = total = 0
+    for text, ok in rows:
+        print(f"{text} {'PASS' if ok else 'FAIL'}")
+        passed += ok
+        total += 1
+    verdict = "PASS" if passed == total else "FAIL"
+    print(f"{name}: {verdict} ({passed}/{total})" if tally else f"{name}: {verdict}")
+    return EXIT_OK if passed == total else EXIT_VERIFY
 
 
 def _m_range(args) -> range:
-    if args.m_lo < 7:
-        raise _UsageError(f"--from must be >= 7, got {args.m_lo}")
     if args.m_hi < args.m_lo:
         raise _UsageError(f"empty range [{args.m_lo}, {args.m_hi}]")
     return range(args.m_lo, args.m_hi + 1)
 
 
-# Both range commands compute every row before printing any, so a range that
-# runs past the enumeration budget exits with no partial output.
+def _lemma_row(row) -> tuple[str, bool]:
+    # str of a V(F_m) of up to 3946 digits dominates a long range: convert an equal pair once
+    lhs = str(row.lhs)
+    return f"m={row.m} lhs={lhs} rhs={lhs if row.equal else row.rhs}", row.equal
+
+
+def _cmd_verify_lemma(args) -> int:
+    ms = _m_range(args)
+    rows = moments.verify_lemma(ms[0], ms[-1])
+    return _report("verify-lemma", map(_lemma_row, rows), tally=True)
+
+
+# Both enumeration commands check every m before printing any row, so a range
+# that runs past the enumeration budget exits with no partial output.
 def _cmd_verify_cases(args) -> int:
     reports = [casework.verify_cases(m) for m in _m_range(args)]
-    for report in reports:
-        detail = " ".join(f"{c.name}={c.actual}/{c.expected}" for c in report.checks)
-        print(f"m={report.m} {detail} {'PASS' if report.passed else 'FAIL'}")
-    ok = all(report.passed for report in reports)
-    print(f"verify-cases: {'PASS' if ok else 'FAIL'}")
-    return EXIT_OK if ok else EXIT_VERIFY
+    return _report("verify-cases", (
+        (f"m={r.m} " + " ".join(f"{c.name}={c.actual}/{c.expected}" for c in r.checks), r.passed)
+        for r in reports
+    ))
 
 
 def _cmd_verify_w(args) -> int:
-    ms = _m_range(args)
-    # brute force first, so a range past the enumeration budget builds no table
-    bruteforced = [casework.w_bruteforce(m) for m in ms]
-    series = moments.fib_moment_series(ms[-1] - 3)
-    rows = list(zip(ms, bruteforced, map(series.w, ms)))
-    for m, brute, closed in rows:
-        print(f"m={m} brute={brute} closed={closed} {'PASS' if brute == closed else 'FAIL'}")
-    ok = all(brute == closed for _, brute, closed in rows)
-    print(f"verify-w: {'PASS' if ok else 'FAIL'}")
-    return EXIT_OK if ok else EXIT_VERIFY
+    checks = [
+        (m, next(c for c in casework.verify_cases(m).checks if c.name == "w"))
+        for m in _m_range(args)
+    ]
+    return _report(
+        "verify-w", ((f"m={m} brute={c.actual} closed={c.expected}", c.ok) for m, c in checks)
+    )
 
 
 def _cmd_solve(args) -> int:
@@ -181,16 +206,16 @@ def _cmd_solve(args) -> int:
     c1, c2, c3, c4, c5 = closed_form.embed_coefficients(sol, digits=args.precision)
     for name, value in (("c1", c1), ("c2", c2), ("c3", c3), ("c4", c4), ("c5", c5)):
         print(f"{name} ~ {value}")
-    # each bracket is at most 10^-p wide: its midpoint rounded to p places is within 10^-p
+    # each bracket is at most 10^-p wide: its midpoint rounded to p places is within 10^-p.
+    # The Decimal is built from the digit tuple: str(int) refuses more than 4300
+    # digits, and Decimal arithmetic would round to the context.
     for name, root in (("lambda1", sol.lambda1), ("lambda2", sol.lambda2), ("lambda5", sol.lambda5)):
-        places = round((root.low + root.high) / 2 * 10**args.precision)
-        print(f"{name} = {Decimal(f'{places}E-{args.precision}')}")
+        places = Decimal(round((root.low + root.high) / 2 * 10**args.precision))
+        print(f"{name} = {Decimal(places.as_tuple()._replace(exponent=-args.precision))}")
     return EXIT_OK
 
 
 def _cmd_closed_form(args) -> int:
-    if args.m < 2:
-        raise _UsageError(f"--m must be >= 2, got {args.m}")
     sol = closed_form.solve_closed_form()
     value = closed_form.closed_form_v(args.m, sol)
     if value.denominator != 1:
@@ -216,17 +241,10 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_check_carlitz(args) -> int:
-    if args.m_max < 2:
-        raise _UsageError(f"--to must be >= 2, got {args.m_max}")
     rows = partitions.check_carlitz(args.m_max)
-    for row in rows:
-        print(
-            f"m={row.m} R(F_m)={row.r_fib} floor(m/2)={row.expected} "
-            f"{'PASS' if row.ok else 'FAIL'}"
-        )
-    ok = all(row.ok for row in rows)
-    print(f"check-carlitz: {'PASS' if ok else 'FAIL'}")
-    return EXIT_OK if ok else EXIT_VERIFY
+    return _report(
+        "check-carlitz", ((f"m={r.m} R(F_m)={r.r_fib} floor(m/2)={r.expected}", r.ok) for r in rows)
+    )
 
 
 def _cmd_check_sqrt_bound(args) -> int:
@@ -240,10 +258,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command is None:
-            parser.print_usage(sys.stderr)
-            return EXIT_USAGE
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
     except _UsageError as exc:
         parser.print_usage(sys.stderr)
         print(f"fibvar: error: {exc}", file=sys.stderr)
@@ -251,12 +268,14 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetError as exc:
         print(f"fibvar: resource budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ValueError as exc:
-        print(f"fibvar: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except RuntimeError as exc:
+    except (RuntimeError, ValueError) as exc:
         print(f"fibvar: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except BrokenPipeError:
+        # the recipe in Python's signal docs: the flush at exit must not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

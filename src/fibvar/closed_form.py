@@ -80,7 +80,7 @@ def solve_closed_form(precision_digits: int = 30) -> ClosedFormSolution:
         raise ValueError(f"precision must be >= 1, got {precision_digits}")
     matrix, rhs = build_trace_system()
     g0, g1, g2, c3, c4 = solve_linear_system(matrix, rhs)
-    roots = isolate_real_roots(Fraction(1, 10**precision_digits))
+    roots = isolate_real_roots(precision_digits)
     return ClosedFormSolution(
         c_field=CubicElement(g0, g1, g2),
         c3=c3,
@@ -109,7 +109,7 @@ def embed_coefficients(
     c(theta) cancels about two digits at lambda_1, so it is evaluated at roots
     isolated to 10^-(digits + 10), working at digits + 10, and rounded once.
     """
-    lam1, lam5, lam2 = (r.value for r in isolate_real_roots(Fraction(1, 10 ** (digits + 10))))
+    lam1, lam5, lam2 = (r.value for r in isolate_real_roots(digits + 10))
     with localcontext() as ctx:
         ctx.prec = digits + 10
         c1, c2, c5 = (sol.c_field.embed(lam) for lam in (lam1, lam2, lam5))

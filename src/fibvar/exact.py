@@ -6,8 +6,8 @@ at the three real roots of the cubic.  The power sums p_k are traces of
 theta^k, which binary powering finds in Z[theta] with no cache.  Rational
 scalars are fractions.Fraction.  The linear solver is fraction-free (Bareiss)
 after clearing row denominators.  Real roots are isolated by one sign scan of
-a fixed grid on the Cauchy interval [-3, 3], then located to the requested
-width by integer Newton steps with precision doubling (Brent and Zimmermann,
+a fixed grid on the Cauchy interval [-3, 3], then narrowed to 10^-digits
+wide by integer Newton steps with precision doubling (Brent and Zimmermann,
 Modern Computer Arithmetic, 2010, ch. 4) and certified by exact signs.  The
 cubic is irreducible, so it has no rational roots: every root lies strictly
 inside exactly one dyadic cell 3n/2^e < x < 3(n+1)/2^e of each level e, and a
@@ -19,7 +19,7 @@ that bisection would reach.
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import gcd, log10
+from math import gcd
 from typing import Sequence
 
 # x^3 - 2x^2 - 2x + 2, coefficients by ascending degree
@@ -29,10 +29,6 @@ CAUCHY_BOUND = 3  # 1 + max |coefficient| of the monic cubic: every root is in [
 
 class SingularMatrixError(Exception):
     """The coefficient matrix of a linear system is singular."""
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -99,7 +95,7 @@ def solve_linear_system(
     # augmented integer matrix: clear denominators row by row
     aug: list[list[int]] = []
     for row, b in zip(matrix, rhs):
-        fracs = [_frac(x) for x in row] + [_frac(b)]
+        fracs = [Fraction(x) for x in row] + [Fraction(b)]
         scale = 1
         for f in fracs:
             scale = scale * f.denominator // gcd(scale, f.denominator)
@@ -133,23 +129,13 @@ def solve_linear_system(
 class IsolatedRoot:
     """A rational bracket [low, high] around one simple real root.
 
-    The polynomial changes sign on the bracket, which is at most the requested
-    precision wide, and value is a decimal approximation of the midpoint.
+    The polynomial changes sign on the bracket, which is at most 10^-digits
+    wide, and value is the midpoint to digits significant digits plus two.
     """
 
     low: Fraction
     high: Fraction
     value: Decimal
-
-
-def _decimal_digits(precision: Fraction) -> int:
-    """The least d >= 1 with 10^-d <= precision."""
-    num, den = precision.numerator, precision.denominator
-    # bit lengths bound log2(den/num) within 1 either way; start below it
-    d = max(1, int((den.bit_length() - num.bit_length() - 1) * log10(2)))
-    while den > num * 10**d:
-        d += 1
-    return d
 
 
 def _to_decimal(x: Fraction, digits: int) -> Decimal:
@@ -199,18 +185,17 @@ def _newton_root(seed: float, bits: int) -> int:
     return x
 
 
-def isolate_real_roots(precision: Fraction) -> list[IsolatedRoot]:
+def isolate_real_roots(digits: int) -> list[IsolatedRoot]:
     """Isolate the three real roots of the cubic, sorted by decreasing value.
 
     Cells are [CAUCHY_BOUND * n / 2^e, CAUCHY_BOUND * (n + 1) / 2^e].  The
     scan at e = 2 (eight cells on [-3, 3]) finds one sign change per root.
     Each root's bracket is the cell of the least level e with width at most
-    precision: Newton proposes n, and n is kept only when it lies in the
+    10^-digits: Newton proposes n, and n is kept only when it lies in the
     root's scan cell and the cubic changes sign across it.
     """
-    precision = _frac(precision)
-    if precision <= 0:
-        raise ValueError("precision must be positive")
+    if digits < 1:
+        raise ValueError(f"digits must be >= 1, got {digits}")
     scan = 2
     cells = [
         n
@@ -219,13 +204,8 @@ def isolate_real_roots(precision: Fraction) -> list[IsolatedRoot]:
     ]
     if len(cells) != 3:
         raise RuntimeError(f"expected 3 sign changes on the grid, found {len(cells)}")
-    # the least e >= scan with CAUCHY_BOUND / 2^e <= precision, searched up
-    # from a bit-length bound that lies below it
-    num, den = precision.numerator, precision.denominator
-    e = max(scan, (CAUCHY_BOUND * den).bit_length() - num.bit_length() - 1)
-    while CAUCHY_BOUND * den > num << e:
-        e += 1
-    digits = _decimal_digits(precision)
+    # the least e with CAUCHY_BOUND * 10^digits <= 2^e; above scan for digits >= 1
+    e = (CAUCHY_BOUND * 10**digits - 1).bit_length()
     roots = []
     for cell in reversed(cells):
         low_negative = _negative_at(cell, scan)

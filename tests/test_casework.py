@@ -10,7 +10,6 @@ from fibvar.casework import (
     CaseReport,
     case_breakdown,
     verify_cases,
-    w_bruteforce,
 )
 from fibvar.errors import BudgetError
 from fibvar.fibonacci import distinct_fib_upto, fib
@@ -52,13 +51,13 @@ def reference_breakdown(m):
 
 def test_w_bruteforce_matches_closed_form():
     for m in range(7, 17):
-        assert w_bruteforce(m) == fib_moment_series(m - 3).w(m), m
+        assert case_breakdown(m).w_bruteforce == fib_moment_series(m - 3).w(m), m
 
 
 def test_one_series_gives_every_w_up_to_its_range():
     series = fib_moment_series(17)
     for m in range(7, 21):
-        assert series.w(m) == w_bruteforce(m), m
+        assert series.w(m) == case_breakdown(m).w_bruteforce, m
     with pytest.raises(ValueError):
         series.w(21)
 
@@ -113,7 +112,6 @@ def test_enumeration_matches_reference(m):
     bd = case_breakdown(m, budget=23)
     fields = (bd.total, bd.case1, bd.case2, bd.case3, bd.case4, bd.case5, bd.w_bruteforce)
     assert fields == reference_breakdown(m)
-    assert w_bruteforce(m, budget=23) == bd.w_bruteforce
 
 
 def _patched_window_counts(monkeypatch, change):
@@ -157,7 +155,3 @@ def test_mixed_top_pair_is_rejected(monkeypatch):
 def test_verify_cases_peak_memory(peak_bytes):
     assert peak_bytes(lambda: verify_cases(21, budget=22)) <= 8 * 2**20
 
-
-def test_w_bruteforce_domain():
-    with pytest.raises(ValueError):
-        w_bruteforce(6)

@@ -1,7 +1,9 @@
 import hashlib
+import shlex
 import subprocess
 import sys
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import pytest
 import sympy as sp
@@ -93,7 +95,7 @@ def test_verify_lemma_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(cli.moments, "verify_lemma", lambda *a, **k: fake)
     code, out, _ = run_cli(capsys, "verify-lemma", "--to", "7")
     assert code == 2
-    assert "FAIL" in out
+    assert out.splitlines() == ["m=7 lhs=53 rhs=52 FAIL", "verify-lemma: FAIL (0/1)"]
 
 
 @pytest.mark.parametrize("command", ["verify-lemma", "verify-cases", "verify-w"])
@@ -144,6 +146,14 @@ def test_solve_prints_each_lambda_to_precision_places(capsys):
             with localcontext() as ctx:
                 ctx.prec = p + 20
                 assert abs(value - Decimal(str(sp.N(root, p + 10)))) <= Decimal(10) ** -p, (p, name)
+
+
+def test_solve_prints_lambdas_past_the_int_str_digit_limit(capsys):
+    # lambda's digits at precision p are an int of p + 1 digits; str(int) stops at 4300
+    code, out, _ = run_cli(capsys, "solve", "--precision", "4300")
+    assert code == 0
+    lambdas = [line.split(" = ")[1] for line in out.splitlines() if line.startswith("lambda")]
+    assert [len(value.split(".")[1]) for value in lambdas] == [4300] * 3
 
 
 def test_closed_form_subcommand(capsys):
@@ -262,12 +272,20 @@ def test_module_entry_point():
         ["verify-cases", "--from", "9", "--to", "8"],
         ["solve", "--precision", "-1"],
         ["solve", "--precision", "0"],
+        ["table", "--h-max", "-1"],
+        ["figure", "--h-max", "0"],
+        ["check-sqrt-bound", "--h-max", "-1"],
+        ["closed-form", "--m", "1"],
+        ["check-carlitz", "--to", "1"],
+        ["exponents", "--precision", "0"],
+        ["zeckendorf", "--n", "0"],
     ],
 )
 def test_malformed_flags(capsys, argv):
-    code, out, _ = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
+    assert err.startswith("usage: fibvar")
 
 
 @pytest.mark.parametrize("argv", [("solve", "--precision", "150"), ("exponents", "--precision", "100")])
@@ -281,3 +299,45 @@ def test_library_runtime_error_is_an_internal_error(capsys, monkeypatch, argv):
     assert code == cli.EXIT_INTERNAL == 4
     assert out == ""
     assert err == "fibvar: internal error: no sign change\n"
+
+
+def test_library_value_error_is_an_internal_error(capsys, monkeypatch):
+    # every flag floor is checked by the parser, so a ValueError from the library is a bug
+    def broken(h_max):
+        raise ValueError("bad table")
+
+    monkeypatch.setattr(cli.partitions, "r_table", broken)
+    code, out, err = run_cli(capsys, "table", "--h-max", "3")
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert err.startswith("fibvar: internal error:")
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fibvar.cli", "table", "--h-max", "1000000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"n,R\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == cli.EXIT_PIPE == 141
+    assert err == b""
+
+
+def readme_cli_lines():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    lines = [line.split("#") for line in block.splitlines() if line.startswith("fibvar ")]
+    return [(shlex.split(command)[1:], comment.strip()) for command, comment in lines]
+
+
+@pytest.mark.parametrize("argv, comment", readme_cli_lines())
+def test_readme_cli_examples_run(capsys, argv, comment):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    if argv[0] == "r":
+        assert comment == "R(168) = 13" and out == "13\n"
+    if argv[0] == "zeckendorf":
+        assert out.strip() == comment

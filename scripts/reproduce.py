@@ -13,7 +13,7 @@ from decimal import Decimal, localcontext
 from pathlib import Path
 
 from fibvar.analysis import exponent_report, write_figure_csv
-from fibvar.casework import verify_cases
+from fibvar.casework import verify_case_range
 from fibvar.closed_form import closed_form_v, embed_coefficients, solve_closed_form
 from fibvar.moments import INITIAL, fib_moment_series, verify_lemma
 from fibvar.partitions import check_carlitz, check_sqrt_bound
@@ -44,7 +44,7 @@ def main() -> int:
     check(f"{len(rows)} checkpoints", all(r.equal for r in rows))
 
     print(f"case decomposition, m in [7, {CASES_M_MAX}]")
-    reports = [verify_cases(m) for m in range(7, CASES_M_MAX + 1)]
+    reports = verify_case_range(7, CASES_M_MAX)
     check(f"{len(reports)} breakdowns", all(r.passed for r in reports))
 
     print("pointwise identities")

@@ -1,4 +1,4 @@
-"""Brute-force verification of the window system behind the five-term recurrence.
+"""The window system behind the five-term recurrence, counted by a forced pair sweep.
 
 V(F_m) - V(F_{m-1}) counts ordered pairs of subsets of distinct Fibonacci
 values with equal sums in the window (F_{m-1}, F_m].  For m >= 7 every such
@@ -13,50 +13,62 @@ pair falls into exactly one of five cases according to the two largest parts
     4. {F_m, F_{m-1}} split across sides -> 2 R(F_{m-2})
     5. {F_{m-1}, F_{m-2}} split          -> 2 (w_{m+1} - R(F_{m-3}))
 
-Everything here is exhaustive enumeration over subsets, deliberately
-independent of the R table, so the case formulas and the closed form of the
-auxiliary count w_m, evaluated on moments.fib_moment_series, are checked
-against raw counting.  The enumeration is over numpy int64 arrays of running
-subset sums, grown once per Fibonacci value, with the sums that land in the
-window binned by their max part; one enumeration over (F_{m-3}, F_m] serves
-both the five cases and w_m, whose check is the "w" row of verify_cases.  It
-keeps every subset sum up to F_m, A(F_m) of them (349,536 at m = 21), and
-peaks near 21 bytes per sum kept (the array, its grown part and their
-concatenation): 6.9 MB for verify_cases(21).
+Every count here comes from sweep.pair_completions, which places the
+Fibonacci values from the top and never reads the R table, so the case
+formulas and the closed form of the auxiliary count w_m, evaluated on
+moments.fib_moment_series, are checked against an independent count.  A
+count with fixed top values enters the sweep just below the smaller top, one
+start per choice of the values between the two tops, and a count over the
+window is the count at cap F_m minus the count at cap F_{m-1}.  One sweep
+per m gives the window total, the five cases, the mixed pair {F_m, F_{m-2}}
+and w_m, a few states per Fibonacci value below F_m; case_breakdown reaches
+sweep.MAX_SWEEP_INDEX, and verify_cases, whose expected side is a table up
+to F_m, reaches partitions.MAX_TABLE_INDEX.
 """
 
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import BudgetError
-from .fibonacci import distinct_fib_upto, fib
-from .moments import fib_moment_series
+from .moments import FibMomentSeries, fib_moment_series
+from .partitions import MAX_TABLE_INDEX
+from .sweep import fib_prefix, pair_completions
 
-DEFAULT_ENUM_BUDGET = 20  # largest Fibonacci index whose subset space we enumerate
+# the classes of window pairs by their top values (F_{m-i}, F_{m-j}), i >= j, the
+# smaller top on the X side; a split pair is counted in this order only
+_TOPS = {
+    "case1": (0, 0),
+    "case2": (1, 1),
+    "case3": (2, 2),
+    "case4": (1, 0),
+    "case5": (2, 1),
+    "mixed": (2, 0),
+}
 
 
-def _window_counts(top: int, lo: int, hi: int) -> dict[int, np.ndarray]:
-    """Subsets of the distinct Fibonacci values <= top, binned by max part.
+def _class_counts(m: int) -> dict[str, int]:
+    """The window total, each class of _TOPS, and w_m, from one sweep.
 
-    Returns max part v -> counts, where counts[t - lo - 1] is the number of
-    subsets with max part v and sum t, for lo < t <= hi; max parts with no
-    sum in the window are left out.  The values come in increasing order, so
-    adding v to every subset sum of the smaller values gives exactly the sums
-    whose max part is v, and the array of running sums grows once per value.
-    A running sum above hi can never return to the window, so it is dropped.
+    A class with tops F_a <= F_b enters the sweep at level a - 1: X so far is
+    F_a, Y so far is F_b plus any subset of F_a, ..., F_{b-1}, and each such
+    subset is one start (Y so far - F_a, cap - F_a).  w_m is the class with
+    tops (F_{m-3}, F_{m-2}) at caps F_{m-1} and F_{m-3}.
     """
-    counts: dict[int, np.ndarray] = {}
-    sums = np.zeros(1, dtype=np.int64)
-    for v in distinct_fib_upto(top):
-        grown = sums + v
-        grown = grown[grown <= hi]
-        in_window = grown[grown > lo]
-        if in_window.size:
-            counts[v] = np.bincount(in_window - (lo + 1), minlength=hi - lo)
-        sums = np.concatenate((sums, grown))
-    return counts
+    fibs = fib_prefix(m)
+    starts = [(m, (0, fibs[m])), (m, (0, fibs[m - 1]))]
+    tags = [("total", 1), ("total", -1)]  # the count start i adds to, and its sign
+    classes = [(name, m - i, m - j, m, m - 1) for name, (i, j) in _TOPS.items()]
+    for name, a, b, hi, lo in classes + [("w", m - 3, m - 2, m - 1, m - 3)]:
+        placed = [fibs[b]]
+        for k in range(a, b):
+            placed += [y + fibs[k] for y in placed]
+        for sign, cap in ((1, fibs[hi]), (-1, fibs[lo])):
+            starts += [(a - 1, (y - fibs[a], cap - fibs[a])) for y in placed]
+            tags += [(name, sign)] * len(placed)
+    out = dict.fromkeys((name for name, _ in tags), 0)
+    for (name, sign), count in zip(tags, pair_completions(fibs, starts)):
+        out[name] += sign * count
+    return out
 
 
 @dataclass(frozen=True)
@@ -68,53 +80,37 @@ class CaseBreakdown:
     case3: int
     case4: int
     case5: int
-    w_bruteforce: int
+    w: int
 
     @property
     def case_sum(self) -> int:
         return self.case1 + self.case2 + self.case3 + self.case4 + self.case5
 
 
-def case_breakdown(m: int, budget: int = DEFAULT_ENUM_BUDGET) -> CaseBreakdown:
-    """Partition every enumerated window solution by its two largest parts.
+def case_breakdown(m: int) -> CaseBreakdown:
+    """Split the window's solutions by their two largest parts, and count w_m.
 
-    A pair of subsets with equal sum t and maxima (mx, my) is counted by the
-    product of their counts at t, so each case is a dot product of two count
-    vectors, and the window total is |a + b + d|^2 for the F_m, F_{m-1} and
-    F_{m-2} vectors a, b, d.  Raises if any solution falls outside the five
-    cases; for m >= 7 the maxima can only be F_m, F_{m-1} or F_{m-2}, and the
-    mixed pair {F_m, F_{m-2}} cannot have equal sums.  One enumeration over
-    (F_{m-3}, F_m] also gives w_bruteforce, the exhaustive w_m, from the part
-    of that range below the cases' window: pairs with the x side topped by
-    F_{m-2}, the y side by F_{m-3}, and equal totals in (F_{m-3}, F_{m-1}].
+    Raises if any solution falls outside the five cases: for m >= 7 the
+    maxima can only be F_m, F_{m-1} or F_{m-2}, so the window total must
+    equal the sum of the top-value classes, and the mixed pair {F_m, F_{m-2}}
+    cannot have equal sums.  m is capped by sweep.MAX_SWEEP_INDEX.
     """
     if m < 7:
         raise ValueError(f"the five-way case split needs m >= 7, got {m}")
-    if m > budget:
-        raise BudgetError(
-            f"enumeration at m={m} exceeds the budget cap {budget} ({2 ** (budget - 1)} subsets)"
+    c = _class_counts(m)
+    if c["mixed"]:
+        raise RuntimeError(
+            f"{2 * c['mixed']} solutions with maxima (F_{m}, F_{m - 2}) "
+            f"outside the five cases at m={m}"
         )
-    f_m, f_m1, f_m2, f_m3 = fib(m), fib(m - 1), fib(m - 2), fib(m - 3)
-    counts = _window_counts(f_m, f_m3, f_m)
-    # the first F_{m-1} - F_{m-3} = F_{m-2} sums are w_m's window (F_{m-3}, F_{m-1}]
-    window = {v: c[f_m2:] for v, c in counts.items()}
-    stray = sorted(v for v, c in window.items() if c.any() and v not in (f_m, f_m1, f_m2))
-    if stray:
-        raise RuntimeError(f"solution with max part {stray[0]} outside the five cases at m={m}")
-    # F_m, F_{m-1} + F_{m-2} and 2 F_{m-2} = F_{m-2} + F_{m-3} + F_{m-4} are window sums
-    a, b, d = window[f_m], window[f_m1], window[f_m2]
-    if a @ d:
-        raise RuntimeError(f"solution with maxima ({f_m}, {f_m2}) outside the five cases at m={m}")
-    every = a + b + d
+    classes = c["case1"] + c["case2"] + c["case3"] + 2 * (c["case4"] + c["case5"] + c["mixed"])
+    if c["total"] != classes:
+        raise RuntimeError(
+            f"{c['total'] - classes} solutions with a max part below F_{m - 2} "
+            f"outside the five cases at m={m}"
+        )
     return CaseBreakdown(
-        m=m,
-        total=int(every @ every),
-        case1=int(a @ a),
-        case2=int(b @ b),
-        case3=int(d @ d),
-        case4=2 * int(a @ b),
-        case5=2 * int(b @ d),
-        w_bruteforce=int(counts[f_m2][:f_m2] @ counts[f_m3][:f_m2]),
+        m, c["total"], c["case1"], c["case2"], c["case3"], 2 * c["case4"], 2 * c["case5"], c["w"]
     )
 
 
@@ -138,17 +134,8 @@ class CaseReport:
         return all(c.ok for c in self.checks)
 
 
-def verify_cases(m: int, budget: int = DEFAULT_ENUM_BUDGET) -> CaseReport:
-    """Check each brute-forced case count against its closed-form expression.
-
-    Also checks that the cases sum to the window total, that the total equals
-    V(F_m) - V(F_{m-1}), and that the brute-forced w_m matches its closed
-    form.  Every R, V and w on the expected side, w_{m+1} of case 5
-    included, comes from one fib_moment_series(m), so only the enumeration
-    at m counts against the budget.
-    """
-    bd = case_breakdown(m, budget=budget)
-    s = fib_moment_series(m)
+def _case_report(bd: CaseBreakdown, s: FibMomentSeries) -> CaseReport:
+    m = bd.m
     case3_expected = (
         s.v(m - 1)
         - 4 * s.v(m - 3)
@@ -166,6 +153,30 @@ def verify_cases(m: int, budget: int = DEFAULT_ENUM_BUDGET) -> CaseReport:
         CaseCheck("case5", bd.case5, 2 * (s.w(m + 1) - s.r(m - 3))),
         CaseCheck("case_sum", bd.case_sum, bd.total),
         CaseCheck("window_total", bd.total, s.v(m) - s.v(m - 1)),
-        CaseCheck("w", bd.w_bruteforce, s.w(m)),
+        CaseCheck("w", bd.w, s.w(m)),
     )
     return CaseReport(m=m, checks=checks)
+
+
+def verify_case_range(m_lo: int, m_hi: int) -> list[CaseReport]:
+    """Check each swept case count against its closed-form expression, for m_lo <= m <= m_hi.
+
+    Also checks that the cases sum to the window total, that the total equals
+    V(F_m) - V(F_{m-1}), and that the swept w_m matches its closed form.
+    Every R, V and w on the expected side, w_{m+1} of case 5 included, comes
+    from one fib_moment_series(m_hi), the table route, which refuses m_hi
+    past partitions.MAX_TABLE_INDEX from m_hi alone, before any count.
+    """
+    if m_lo < 7:
+        raise ValueError(f"the five-way case split needs m >= 7, got m_lo={m_lo}")
+    if m_hi < m_lo:
+        raise ValueError(f"empty range [{m_lo}, {m_hi}]")
+    s = fib_moment_series(m_hi)
+    return [_case_report(case_breakdown(m), s) for m in range(m_lo, m_hi + 1)]
+
+
+def verify_cases(m: int, budget: int = MAX_TABLE_INDEX) -> CaseReport:
+    """verify_case_range for the single m; budget is the largest m accepted."""
+    if m > budget:
+        raise BudgetError(f"the case check at m={m} exceeds the budget of m <= {budget}")
+    return verify_case_range(m, m)[0]

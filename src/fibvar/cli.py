@@ -1,9 +1,9 @@
 """Command-line surface: tables, verifications, the exact solve, and figure data.
 
 Exit codes: 0 success / all checks pass, 1 usage error (argument parsing
-only), 2 a verification failed, 3 a memory or enumeration budget was
-exceeded, 4 an internal error (a RuntimeError or ValueError from the
-library, such as a failed root certificate), 141 stdout was closed early.
+only), 2 a verification failed, 3 a memory or size budget was exceeded, 4
+an internal error (a RuntimeError or ValueError from the library, such as a
+failed root certificate), 141 stdout was closed early.
 """
 
 import argparse
@@ -25,14 +25,16 @@ EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell shows for a writer cut off by its
 
 
 class _UsageError(Exception):
-    pass
+    def __init__(self, message: str, parser: argparse.ArgumentParser):
+        super().__init__(message)
+        self.parser = parser  # the (sub)command whose usage to print
 
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 by default, which collides with the
     # verification-failure code; route usage problems through EXIT_USAGE.
     def error(self, message):
-        raise _UsageError(message)
+        raise _UsageError(message, self)
 
 
 def _at_least(floor: int):
@@ -54,7 +56,7 @@ def _build_parser() -> _Parser:
 
     def add(name, handler, help_text):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, parser=p)
         return p
 
     p = add(
@@ -81,14 +83,14 @@ def _build_parser() -> _Parser:
 
     p = add(
         "verify-cases", _cmd_verify_cases,
-        "brute-force the five-way case decomposition on a range of m",
+        "check the five-way case decomposition, counted by the sweep, on a range of m",
     )
     p.add_argument("--from", dest="m_lo", type=_at_least(7), default=7)
     p.add_argument("--to", dest="m_hi", type=int, required=True)
 
     p = add(
         "verify-w", _cmd_verify_w,
-        "compare the brute-forced auxiliary count w_m with its closed form",
+        "compare the swept auxiliary count w_m with its closed form",
     )
     p.add_argument("--from", dest="m_lo", type=_at_least(7), default=7)
     p.add_argument("--to", dest="m_hi", type=int, required=True)
@@ -160,10 +162,10 @@ def _report(name: str, rows: Iterable[tuple[str, bool]], tally: bool = False) ->
     return EXIT_OK if passed == total else EXIT_VERIFY
 
 
-def _m_range(args) -> range:
+def _m_bounds(args) -> tuple[int, int]:
     if args.m_hi < args.m_lo:
-        raise _UsageError(f"empty range [{args.m_lo}, {args.m_hi}]")
-    return range(args.m_lo, args.m_hi + 1)
+        args.parser.error(f"empty range [{args.m_lo}, {args.m_hi}]")
+    return args.m_lo, args.m_hi
 
 
 def _lemma_row(row) -> tuple[str, bool]:
@@ -173,15 +175,14 @@ def _lemma_row(row) -> tuple[str, bool]:
 
 
 def _cmd_verify_lemma(args) -> int:
-    ms = _m_range(args)
-    rows = moments.verify_lemma(ms[0], ms[-1])
+    rows = moments.verify_lemma(*_m_bounds(args))
     return _report("verify-lemma", map(_lemma_row, rows), tally=True)
 
 
-# Both enumeration commands check every m before printing any row, so a range
-# that runs past the enumeration budget exits with no partial output.
+# Both case commands check every m before printing any row, so a range that
+# runs past the table budget exits with no partial output.
 def _cmd_verify_cases(args) -> int:
-    reports = [casework.verify_cases(m) for m in _m_range(args)]
+    reports = casework.verify_case_range(*_m_bounds(args))
     return _report("verify-cases", (
         (f"m={r.m} " + " ".join(f"{c.name}={c.actual}/{c.expected}" for c in r.checks), r.passed)
         for r in reports
@@ -190,8 +191,8 @@ def _cmd_verify_cases(args) -> int:
 
 def _cmd_verify_w(args) -> int:
     checks = [
-        (m, next(c for c in casework.verify_cases(m).checks if c.name == "w"))
-        for m in _m_range(args)
+        (r.m, next(c for c in r.checks if c.name == "w"))
+        for r in casework.verify_case_range(*_m_bounds(args))
     ]
     return _report(
         "verify-w", ((f"m={m} brute={c.actual} closed={c.expected}", c.ok) for m, c in checks)
@@ -262,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()  # a closed stdout raises here, not at exit
         return code
     except _UsageError as exc:
-        parser.print_usage(sys.stderr)
+        exc.parser.print_usage(sys.stderr)
         print(f"fibvar: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetError as exc:

@@ -1,2 +1,2 @@
 class BudgetError(Exception):
-    """A requested computation exceeds the memory or enumeration budget."""
+    """A requested computation exceeds a memory or size budget."""

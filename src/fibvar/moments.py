@@ -17,7 +17,7 @@ FibMomentSeries.w evaluates the auxiliary count
 
     w_m = V(F_{m-3}) - R(F_{m-3}) - R(F_{m-5}) - V(F_{m-5}),
 
-whose brute-force counterpart lives in fibvar.casework.
+which fibvar.casework also counts by a forced pair sweep.
 """
 
 from dataclasses import dataclass

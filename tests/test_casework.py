@@ -1,19 +1,22 @@
+import time
 from collections import Counter, defaultdict
 from itertools import product
 
-import numpy as np
 import pytest
 
-from fibvar import casework
+from fibvar import casework, sweep
 from fibvar.casework import (
     CaseCheck,
     CaseReport,
     case_breakdown,
+    verify_case_range,
     verify_cases,
 )
+from fibvar.closed_form import closed_form_v
 from fibvar.errors import BudgetError
 from fibvar.fibonacci import distinct_fib_upto, fib
 from fibvar.moments import fib_moment_series, v_at_fib
+from fibvar.partitions import MAX_TABLE_INDEX
 
 
 def subset_buckets(top, lo, hi):
@@ -50,14 +53,15 @@ def reference_breakdown(m):
 
 
 def test_w_bruteforce_matches_closed_form():
+    # "brute" as in the CLI's verify-w rows: the counted side, not the formula
     for m in range(7, 17):
-        assert case_breakdown(m).w_bruteforce == fib_moment_series(m - 3).w(m), m
+        assert case_breakdown(m).w == fib_moment_series(m - 3).w(m), m
 
 
 def test_one_series_gives_every_w_up_to_its_range():
     series = fib_moment_series(17)
     for m in range(7, 21):
-        assert series.w(m) == case_breakdown(m).w_bruteforce, m
+        assert series.w(m) == case_breakdown(m).w, m
     with pytest.raises(ValueError):
         series.w(21)
 
@@ -67,7 +71,7 @@ def test_case_breakdown_m7():
     assert (bd.case1, bd.case2, bd.case3, bd.case4, bd.case5) == (1, 11, 3, 4, 8)
     assert bd.total == 27
     assert bd.case_sum == bd.total
-    assert bd.w_bruteforce == 2
+    assert bd.w == 2
 
 
 def test_case_breakdown_m12():
@@ -101,57 +105,136 @@ def test_case_verdicts_follow_their_sides():
 
 
 def test_verify_cases_budget_counts_m_only():
-    # case 5 needs w_{m+1}, which comes from the tables, not from enumeration
+    # case 5 needs w_{m+1}, which the table up to F_m gives; only m meets the cap
+    with pytest.raises(BudgetError, match=f"m <= {MAX_TABLE_INDEX}"):
+        verify_cases(MAX_TABLE_INDEX + 1)
+    # budget= lowers the cap; a higher one still meets the table's
     with pytest.raises(BudgetError):
-        verify_cases(21)
-    assert verify_cases(20).passed
+        verify_cases(21, budget=20)
+    assert verify_cases(21, budget=21).passed
+    with pytest.raises(BudgetError):
+        verify_cases(MAX_TABLE_INDEX + 1, budget=MAX_TABLE_INDEX + 1)
+    # refused from m alone: F_{10**6} has 208988 digits and is never formed
+    start = time.perf_counter()
+    with pytest.raises(BudgetError):
+        verify_cases(10**6)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_verify_cases_reaches_the_table_cap():
+    reports = verify_case_range(7, MAX_TABLE_INDEX)
+    assert [r.m for r in reports] == list(range(7, MAX_TABLE_INDEX + 1))
+    assert all(r.passed for r in reports)
+
+
+def test_range_is_the_single_m_call_repeated():
+    reports = verify_case_range(7, 21)
+    assert reports == [verify_cases(m) for m in range(7, 22)]
+
+
+def test_range_builds_one_series(monkeypatch):
+    built = []
+    original = casework.fib_moment_series
+
+    def counted(m_max):
+        built.append(m_max)
+        return original(m_max)
+
+    monkeypatch.setattr(casework, "fib_moment_series", counted)
+    verify_case_range(7, 20)
+    assert built == [20]
+
+
+@pytest.mark.parametrize("m_lo, m_hi", [(6, 8), (9, 8)])
+def test_range_rejects_bad_bounds(m_lo, m_hi):
+    with pytest.raises(ValueError):
+        verify_case_range(m_lo, m_hi)
 
 
 @pytest.mark.parametrize("m", range(7, 23))
 def test_enumeration_matches_reference(m):
-    bd = case_breakdown(m, budget=23)
-    fields = (bd.total, bd.case1, bd.case2, bd.case3, bd.case4, bd.case5, bd.w_bruteforce)
+    # the sweep against the plain-Python enumeration, field by field
+    bd = case_breakdown(m)
+    fields = (bd.total, bd.case1, bd.case2, bd.case3, bd.case4, bd.case5, bd.w)
     assert fields == reference_breakdown(m)
 
 
-def _patched_window_counts(monkeypatch, change):
-    original = casework._window_counts
+@pytest.mark.parametrize("m", [100, 300, 1000])
+def test_sweep_matches_the_closed_forms_far_past_the_table(m, solution):
+    # R(F_k) = floor(k/2) by Carlitz; w_k from its closed form on the same V and R
+    def v(k):
+        return closed_form_v(k, solution)
 
-    def patched(top, lo, hi):
-        counts = original(top, lo, hi)
-        change(counts, top)
+    def r(k):
+        return k // 2
+
+    def w(k):
+        return v(k - 3) - r(k - 3) - r(k - 5) - v(k - 5)
+
+    assert casework._class_counts(m)["mixed"] == 0
+    bd = case_breakdown(m)
+    assert bd.total == v(m) - v(m - 1)
+    assert bd.case1 == 1
+    assert bd.case2 == v(m - 2) - 1
+    assert bd.case3 == (
+        v(m - 1) - 4 * v(m - 3) + 2 * v(m - 5) - 2 * r(m - 1) + 2 * r(m - 3) + 2 * r(m - 5) + 1
+    )
+    assert bd.case4 == 2 * r(m - 2)
+    assert bd.case5 == 2 * (w(m + 1) - r(m - 3))
+    assert bd.w == w(m)
+
+
+def test_case_breakdown_is_refused_past_the_sweep_cap():
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match=f"F_{sweep.MAX_SWEEP_INDEX + 1}"):
+        case_breakdown(sweep.MAX_SWEEP_INDEX + 1)
+    assert time.perf_counter() - start < 1.0
+
+
+def _patched_class_counts(monkeypatch, change):
+    original = casework._class_counts
+
+    def patched(m):
+        counts = original(m)
+        change(counts)
         return counts
 
-    monkeypatch.setattr(casework, "_window_counts", patched)
+    monkeypatch.setattr(casework, "_class_counts", patched)
 
 
-def test_case_breakdown_enumerates_once(monkeypatch):
+def test_case_breakdown_sweeps_once(monkeypatch):
     calls = []
-    _patched_window_counts(monkeypatch, lambda counts, top: calls.append(top))
+    original = casework.pair_completions
+
+    def counted(fibs, starts):
+        calls.append(max(k for k, _ in starts))
+        return original(fibs, starts)
+
+    monkeypatch.setattr(casework, "pair_completions", counted)
     case_breakdown(9)
-    assert calls == [fib(9)]
+    assert calls == [9]
 
 
 def test_stray_max_part_is_rejected(monkeypatch):
-    def add_stray(counts, top):
-        counts[fib(4)] = np.ones_like(counts[top])
+    # a window total above its top-value classes: a solution with a max part below F_{m-2}
+    def add_stray(counts):
+        counts["total"] += 1
 
-    _patched_window_counts(monkeypatch, add_stray)
+    _patched_class_counts(monkeypatch, add_stray)
     with pytest.raises(RuntimeError, match="outside the five cases"):
         case_breakdown(9)
 
 
 def test_mixed_top_pair_is_rejected(monkeypatch):
-    def overlap(counts, top):
-        f_m2 = fib(7)  # F_{m-2} at m = 9, where top = F_9
-        counts[f_m2] = counts[f_m2].copy()
-        counts[f_m2][np.flatnonzero(counts[top])[0]] += 1
+    def overlap(counts):
+        counts["mixed"] += 1
+        counts["total"] += 2  # both orders, so the classes still sum to the total
 
-    _patched_window_counts(monkeypatch, overlap)
+    _patched_class_counts(monkeypatch, overlap)
     with pytest.raises(RuntimeError, match="outside the five cases"):
         case_breakdown(9)
 
 
 def test_verify_cases_peak_memory(peak_bytes):
-    assert peak_bytes(lambda: verify_cases(21, budget=22)) <= 8 * 2**20
-
+    # the table up to F_21 on the expected side, 87.6 KB, and about 30 KB of sweep
+    assert peak_bytes(lambda: verify_cases(21, budget=22)) <= 8 * (fib(21) + 1) + 2**16

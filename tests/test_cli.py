@@ -226,11 +226,12 @@ def test_budget_exceeded_exit_code(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify-cases", "--from", "20", "--to", "21"],
-        ["verify-w", "--from", "19", "--to", "21"],
+        ["verify-cases", "--from", "20", "--to", "40"],
+        ["verify-w", "--from", "19", "--to", "40"],
     ],
 )
 def test_range_past_enumeration_budget_prints_nothing(capsys, argv):
+    # the table up to F_40 on the expected side is past its cap: refused before any row
     code, out, err = run_cli(capsys, *argv)
     assert code == 3
     assert out == ""
@@ -286,6 +287,20 @@ def test_malformed_flags(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("usage: fibvar")
+
+
+@pytest.mark.parametrize(
+    "argv, usage",
+    [
+        (["table", "--h-max", "-1"], "usage: fibvar table [-h] --h-max H_MAX"),
+        (["verify-cases", "--from", "9", "--to", "8"], "usage: fibvar verify-cases [-h]"),
+        (["frobnicate"], "usage: fibvar [-h] command ..."),
+    ],
+)
+def test_usage_error_prints_the_usage_of_the_failing_command(capsys, argv, usage):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.splitlines()[0].startswith(usage)
 
 
 @pytest.mark.parametrize("argv", [("solve", "--precision", "150"), ("exponents", "--precision", "100")])

@@ -1,4 +1,6 @@
 import time
+from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -6,7 +8,13 @@ from fibvar.closed_form import closed_form_v
 from fibvar.errors import BudgetError
 from fibvar.moments import fib_moment_series, verify_lemma
 from fibvar.partitions import MAX_TABLE_INDEX, check_carlitz
-from fibvar.sweep import MAX_SWEEP_INDEX, fib_pair_counts, fib_partition_counts
+from fibvar.sweep import (
+    MAX_SWEEP_INDEX,
+    fib_pair_counts,
+    fib_partition_counts,
+    fib_prefix,
+    pair_completions,
+)
 
 
 def test_sweep_matches_the_table_at_every_checkpoint_it_allows():
@@ -59,3 +67,30 @@ def test_sweep_rejects_small_m():
 def test_sweep_peak_memory(peak_bytes):
     # a few kilobytes a level, where a table up to F_3000 would hold 10**626 entries
     assert peak_bytes(lambda: fib_pair_counts(3000)) <= 8 * 2**20
+
+
+def test_pair_completions_count_every_start_at_its_own_level():
+    # against all pairs of subsets of F_2..F_k, for states the clamp would change or drop
+    fibs = fib_prefix(9)
+    starts = [(k, (d, h)) for k in range(2, 10) for d in range(0, 70, 3) for h in range(-2, 90, 7)]
+    got = pair_completions(fibs, starts)
+    for (k, (d, h)), count in zip(starts, got):
+        sums = Counter([0])
+        for f in fibs[2 : k + 1]:
+            sums += Counter({s + f: c for s, c in sums.items()})
+        want = sum(cx * sums[x - d] for x, cx in sums.items() if x <= h)
+        assert count == want, (k, d, h)
+
+
+def test_pair_completions_reads_a_start_given_twice():
+    fibs = fib_prefix(12)
+    assert pair_completions(fibs, [(12, (0, 144)), (5, (1, 3)), (12, (0, 144))]) == [
+        fib_pair_counts(12)[-1],
+        *pair_completions(fibs, [(5, (1, 3))]),
+        fib_pair_counts(12)[-1],
+    ]
+
+
+def test_pair_completions_refuse_a_negative_difference():
+    with pytest.raises(ValueError, match="d >= 0"):
+        pair_completions(fib_prefix(5), [(5, (-1, 3))])

@@ -8,7 +8,11 @@ the figure data tabulates both normalizations
     norm_cs   = V(H) * H^(1 - 2*lambda)
     norm_main = V(H) * H^(-log(lambda_1)/log(phi))
 
-for H = 1..h_max as CSV rows.  Each float cell is what
+for H = 1..h_max as CSV rows.  The logarithms are integers in binary fixed
+point, not Decimal: _ln_fixed reduces the argument by square roots and sums
+an atanh series (Brent and Zimmermann, Modern Computer Arithmetic, 2010,
+ch. 4), within 2 units of its last bit, and each constant is one quotient of
+two such integers, rounded once into a Decimal.  Each float cell is what
 np.format_float_positional(x, precision=12, unique=False, fractional=False,
 trim="k") prints, a Dragon4 rule: for 10^e <= x < 10^(e+1) with the 12-digit
 mantissa m = rint(x * 10^(11-e)) it is "%#.12g" % x when e >= 0; when e < 0,
@@ -25,6 +29,7 @@ in 0 with x * 10^(11-e) within 1e-3 of m.
 
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
+from math import isqrt
 from typing import TextIO
 
 import numpy as np
@@ -45,26 +50,61 @@ class AsymptoticConstants:
     exponent_cs: Decimal  # 2*lambda - 1
 
 
+def _ln_fixed(num: int, den: int, bits: int) -> int:
+    """ln(num/den) * 2^bits, for positive integers num and den, to within 2 units.
+
+    The ratio r >= 1 (else -ln(1/r)) is scaled to b = bits + h + 16 fixed-point
+    bits, h = max(4, isqrt(bits) // 2) square roots bring it within about
+    2^-h |ln r| of 1, and ln x = 2 atanh(z), z = (x - 1)/(x + 1), is summed
+    until a term is 0, then doubled h times.  Each root and term truncates by
+    less than one unit of 2^-b; the h doublings amplify that error by 2^h,
+    and the h + 16 guard bits absorb it while the series takes fewer than
+    2^14 terms: about bits / 2h for r near 1, such as 2, phi and lambda_1.
+    """
+    if num < den:
+        return -_ln_fixed(den, num, bits)
+    h = max(4, isqrt(bits) // 2)
+    b = bits + h + 16
+    one = 1 << b
+    x = (num << b) // den
+    for _ in range(h):
+        x = isqrt(x << b)
+    z = ((x - one) << b) // (x + one)
+    z2 = (z * z) >> b
+    total, term, k = 0, z, 1
+    while term:
+        total += term // k
+        term = (term * z2) >> b
+        k += 2
+    return (total << (h + 1)) >> (b - bits)
+
+
 def exponent_report(precision: int) -> AsymptoticConstants:
     """Compute all four constants from first principles at the given precision.
 
-    phi comes from sqrt(5); lambda_1 from certified root isolation of the
-    cubic x^3 - 2x^2 - 2x + 2.
+    phi comes from isqrt(5 * 4^bits); lambda_1 from certified root isolation
+    of the cubic x^3 - 2x^2 - 2x + 2.  The logarithms are _ln_fixed integers
+    at bits >= (precision + 20) * log2(10), each within 2 units of 2^-bits,
+    so every constant is one Decimal quotient of two integers at
+    precision + 10 digits, then rounded to precision.
     """
     if precision < 1:
         raise ValueError(f"precision must be >= 1, got {precision}")
-    lam1 = isolate_real_roots(precision + 5)[0].value
+    bits = (precision + 20) * 10 // 3
+    one = 1 << bits
+    phi = (one + isqrt(5 << 2 * bits)) >> 1
+    # as_integer_ratio is exact: str(int) refuses more than 4300 digits, and
+    # scaleb would round to the context
+    lam1 = isolate_real_roots(precision + 5)[0].value.as_integer_ratio()
+    log_2 = _ln_fixed(2, 1, bits)
+    log_phi = _ln_fixed(phi, one, bits)
+    log_lam1 = _ln_fixed(*lam1, bits)
+    ratios = ((phi, one), (log_2, log_phi), (log_lam1, log_phi), (2 * log_2 - log_phi, log_phi))
     with localcontext() as ctx:
         ctx.prec = precision + 10
-        phi = (1 + Decimal(5).sqrt()) / 2
-        log_phi = phi.ln()
-        lam = Decimal(2).ln() / log_phi
-        exponent_main = lam1.ln() / log_phi
-        exponent_cs = 2 * lam - 1
+        quotients = [Decimal(a) / Decimal(b) for a, b in ratios]
         ctx.prec = precision
-        return AsymptoticConstants(
-            phi=+phi, lam=+lam, exponent_main=+exponent_main, exponent_cs=+exponent_cs
-        )
+        return AsymptoticConstants(*(+q for q in quotients))
 
 
 def _fixed12(x: float) -> str:

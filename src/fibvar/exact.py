@@ -19,7 +19,7 @@ that bisection would reach.
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Sequence
 
 # x^3 - 2x^2 - 2x + 2, coefficients by ascending degree
@@ -85,7 +85,9 @@ def solve_linear_system(
     """Exact solution of a square system by fraction-free (Bareiss) elimination.
 
     Rows are scaled to integers first, so all intermediate arithmetic is
-    integer-exact division; the answer comes back as reduced Fractions.
+    integer-exact division.  The last pivot is the determinant det, so by
+    Cramer's rule det * x_i is an integer, and back-substitution finds those
+    integers by exact division; the answer comes back as reduced Fractions.
     Raises SingularMatrixError when the matrix is singular.
     """
     n = len(matrix)
@@ -96,10 +98,8 @@ def solve_linear_system(
     aug: list[list[int]] = []
     for row, b in zip(matrix, rhs):
         fracs = [Fraction(x) for x in row] + [Fraction(b)]
-        scale = 1
-        for f in fracs:
-            scale = scale * f.denominator // gcd(scale, f.denominator)
-        aug.append([int(f * scale) for f in fracs])
+        scale = lcm(*(f.denominator for f in fracs))
+        aug.append([f.numerator * (scale // f.denominator) for f in fracs])
 
     prev = 1
     for k in range(n):
@@ -116,13 +116,14 @@ def solve_linear_system(
             aug[i][k] = 0
         prev = pivot
 
-    solution: list[Fraction] = [Fraction(0)] * n
+    det = prev
+    scaled = [0] * n  # det * x_i
     for i in range(n - 1, -1, -1):
-        acc = Fraction(aug[i][n])
-        for j in range(i + 1, n):
-            acc -= aug[i][j] * solution[j]
-        solution[i] = acc / aug[i][i]
-    return solution
+        acc = det * aug[i][n] - sum(aug[i][j] * scaled[j] for j in range(i + 1, n))
+        scaled[i], rem = divmod(acc, aug[i][i])
+        if rem:
+            raise RuntimeError(f"back-substitution left remainder {rem} in row {i}")
+    return [Fraction(y, det) for y in scaled]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 import io
-from decimal import Decimal
+import time
+from decimal import Decimal, localcontext
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -7,8 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibvar import analysis
-from fibvar.analysis import CSV_HEADER, _fixed12, exponent_report, write_csv, write_figure_csv
+from fibvar.analysis import (
+    CSV_HEADER,
+    AsymptoticConstants,
+    _fixed12,
+    _ln_fixed,
+    exponent_report,
+    write_csv,
+    write_figure_csv,
+)
 from fibvar.errors import BudgetError
+from fibvar.exact import isolate_real_roots
 from fibvar.fibonacci import fib
 from fibvar.moments import moment_table
 
@@ -27,6 +38,69 @@ def test_exponent_bands():
     assert Decimal("1.88") < c.exponent_main < Decimal("1.90")
     assert c.exponent_cs < c.exponent_main
     assert c.exponent_main - c.exponent_cs > Decimal("0.005")
+
+
+def decimal_exponent_report(precision):
+    """Reference for exponent_report: the same constants by Decimal.sqrt and Decimal.ln."""
+    lam1 = isolate_real_roots(precision + 5)[0].value
+    with localcontext() as ctx:
+        ctx.prec = precision + 10
+        phi = (1 + Decimal(5).sqrt()) / 2
+        log_phi = phi.ln()
+        lam = Decimal(2).ln() / log_phi
+        exponent_main = lam1.ln() / log_phi
+        exponent_cs = 2 * lam - 1
+        ctx.prec = precision
+        return AsymptoticConstants(
+            phi=+phi, lam=+lam, exponent_main=+exponent_main, exponent_cs=+exponent_cs
+        )
+
+
+def test_exponent_report_equals_the_decimal_reference():
+    for precision in [*range(1, 401), 1000]:
+        assert exponent_report(precision) == decimal_exponent_report(precision), precision
+
+
+def _phi_fixed(bits):
+    return ((1 << bits) + isqrt(5 << 2 * bits)) >> 1
+
+
+@pytest.mark.parametrize(
+    "ratio",
+    [
+        lambda bits: (2, 1),
+        lambda bits: (_phi_fixed(bits), 1 << bits),
+        lambda bits: isolate_real_roots(610)[0].value.as_integer_ratio(),
+        lambda bits: (1, 1),
+        lambda bits: (3, 2),
+        lambda bits: (1, 7),
+        lambda bits: (10**40, 1),
+    ],
+    ids=["2", "phi", "lambda1", "1", "3/2", "1/7", "10^40"],
+)
+def test_ln_fixed_is_within_two_units_of_decimal_ln(ratio):
+    bits = 600 * 10 // 3  # what exponent_report(580) uses
+    num, den = ratio(bits)
+    got = _ln_fixed(num, den, bits)
+    with localcontext() as ctx:
+        ctx.prec = 700
+        expected = (Decimal(num) / Decimal(den)).ln() * Decimal(2) ** bits
+    assert abs(got - expected) < 2
+    if num == den:
+        assert got == 0
+
+
+def test_exponent_report_past_the_int_str_digit_limit():
+    start = time.perf_counter()
+    wide = exponent_report(4300)
+    assert time.perf_counter() - start < 2
+    narrow = exponent_report(1000)
+    with localcontext() as ctx:
+        ctx.prec = 1000
+        for name in ("phi", "lam", "exponent_main", "exponent_cs"):
+            value = getattr(wide, name)
+            assert len(value.as_tuple().digits) == 4300, name
+            assert +value == getattr(narrow, name), name
 
 
 def test_exponent_report_rejects_bad_precision():

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from decimal import Decimal
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibvar import exact
+from fibvar.closed_form import build_trace_system
 from fibvar.exact import (
     CAUCHY_BOUND,
     CUBIC_MIN_POLY,
@@ -104,6 +106,55 @@ def test_singular_matrix_detected():
 def test_solver_rejects_malformed_input():
     with pytest.raises(ValueError):
         solve_linear_system([[1, 2, 3], [4, 5, 6]], [1, 2])
+
+
+def gauss_jordan(matrix, rhs):
+    """Reference for solve_linear_system: plain Fraction Gauss-Jordan; None when singular."""
+    n = len(matrix)
+    rows = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    for k in range(n):
+        p = next((i for i in range(k, n) if rows[i][k] != 0), None)
+        if p is None:
+            return None
+        rows[k], rows[p] = rows[p], rows[k]
+        rows[k] = [x / rows[k][k] for x in rows[k]]
+        for i in range(n):
+            if i != k:
+                rows[i] = [x - rows[i][k] * y for x, y in zip(rows[i], rows[k])]
+    return [row[n] for row in rows]
+
+
+def test_solve_the_trace_system():
+    g0, g1, g2, c3, c4 = solve_linear_system(*build_trace_system())
+    assert (g0, g1, g2) == (Fraction(8, 37), Fraction(14, 37), Fraction(-13, 74))
+    assert (c3, c4) == (Fraction(5, 8), Fraction(3, 8))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_solve_matches_gauss_jordan_on_random_systems(seed):
+    # even seeds: large integers; odd seeds: small fractions; seeds 4 and 5 need a row swap
+    rng = random.Random(seed)
+    if seed % 2:
+        entry = lambda: Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+    else:
+        entry = lambda: Fraction(rng.randint(-10**6, 10**6))
+    expected = None
+    while expected is None:
+        matrix = [[entry() for _ in range(5)] for _ in range(5)]
+        if seed >= 4:
+            matrix[0][0] = 0
+        rhs = [entry() for _ in range(5)]
+        expected = gauss_jordan(matrix, rhs)
+    assert solve_linear_system(matrix, rhs) == expected
+
+
+def test_singular_five_by_five_detected():
+    rng = random.Random(7)
+    matrix = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(5)] for _ in range(4)]
+    matrix.append([2 * a - Fraction(1, 3) * b for a, b in zip(matrix[0], matrix[2])])
+    assert gauss_jordan(matrix, [1, 2, 3, 4, 5]) is None
+    with pytest.raises(SingularMatrixError):
+        solve_linear_system(matrix, [1, 2, 3, 4, 5])
 
 
 @settings(max_examples=50)

@@ -20,10 +20,11 @@ up to -e trailing zeros of m are dropped if m was rounded up or is exact, so
 0.54278452084 keeps 11 digits, 0.5 prints 0.50000000000, 0.1 0.100000000000.
 
 write_csv, the one CSV writer, applies that rule to whole columns, e from log10
-and the scale an exact power of ten, and writes each chunk of rows from one
-numpy byte matrix.  Cells it cannot decide take the exact route _fixed12: x
-not finite or <= 0, e outside [-4, 11] or misjudged by log10, m = 10^12 from
-a carry, x * 10^(11-e) within 1e-3 of a half-integer, or, for e < 0, m ending
+and the scale an exact power of ten; each chunk of rows is one matrix of uint32
+quads, gathered from tables that hold NUL where nothing prints, and written with
+the NULs deleted.  Cells it cannot decide take the exact route _fixed12: x not
+finite or <= 0, e outside [-4, 11] or misjudged by log10, m = 10^12 from a
+carry, x * 10^(11-e) within 1e-3 of a half-integer, or, for e < 0, m ending
 in 0 with x * 10^(11-e) within 1e-3 of m.
 """
 
@@ -116,37 +117,42 @@ def _fixed12(x: float) -> str:
     return s
 
 
-CSV_CHUNK_ROWS = 1 << 13  # rows per byte matrix; larger ones leave more heap behind
-_POW10 = np.array([10**k for k in range(1, 20)], dtype=np.uint64)
-_QUADS = (48 + np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10).astype(np.uint8)
-_QUADS = _QUADS.view(np.uint32).ravel()  # 0000..9999, four ASCII digits in one uint32
-_SCALE = np.array([float(10**k) for k in range(16)])  # exact powers of ten
+CSV_CHUNK_ROWS = 1 << 13  # rows per record matrix; larger ones leave more heap behind
+_POW10, _SCALE = 10 ** np.arange(19), 10.0 ** np.arange(16)  # int64, and exact as floats
+_N = np.arange(10000)[:, None]
+_DIGITS = (48 + _N // [1000, 100, 10, 1] % 10).astype(np.uint8)  # ASCII digits of 0000..9999
 
 
-def _digits(mag: np.ndarray, width: int) -> np.ndarray:
-    """ASCII digits of uint64 magnitudes, right-aligned and zero-padded to width."""
-    quads = np.empty((len(mag), -(-width // 4)), dtype=np.uint32)
-    for k in range(quads.shape[1] - 1, -1, -1):
-        high = mag // 10000
-        quads[:, k] = _QUADS[mag - high * 10000]
-        mag = high
-    return quads.view(np.uint8)[:, 4 * quads.shape[1] - width :]
+def _quads(chars: np.ndarray, *shown) -> np.ndarray:
+    """Rows of four uint8 chars as uint32 quads: a run NUL where each shown is False, then all."""
+    return np.concatenate([np.where(s, chars, 0).view(np.uint32) for s in (*shown, True)]).ravel()
 
 
-def _int_cells(values: np.ndarray):
-    """Bytes of str(n) for each integer n, right-aligned, and the mask of those used."""
-    neg = values < 0
-    mag = values.astype(np.uint64)
-    mag = np.where(neg, -mag, mag)  # two's complement magnitude, exact for -2^63
-    used = np.searchsorted(_POW10, mag, side="right") + 1 + neg
-    width = int(used.max())
-    chars = _digits(mag, width)
-    chars[neg, width - used[neg]] = ord("-")
-    return chars, np.arange(width) >= (width - used)[:, None]
+# A units quad is three digits and a suffix, from _UNITS (the suffix replaces the "0" ending
+# _DIGITS[10 q]); a quad above it is four digits, from _HIGH.  Index q is the leading quad: zeros
+# NUL, and 0 as "0" in units, as nothing above.  Index q + 1000 or q + 10000 shows every digit.
+_UNITS = {c: _quads(np.where([0, 0, 0, 1], ord(c), _DIGITS[::10]), _N[::10] >= [1000, 100, 0, 0])
+          for c in ",\n."}
+_HIGH = _quads(_DIGITS, _N >= [1000, 100, 10, 1])
+_FRAC = _quads(_DIGITS, *(np.arange(4) < np.arange(4)[:, None]))  # 10000 k + q: k digits
+_KEEP = 10000 * np.clip(np.arange(16) - 4 * np.arange(4)[:, None], 0, 4)  # [quad, digits]
+_SEP = dict(zip("-,\n", np.frombuffer(b"\0\0\0-\0\0\0,\0\0\0\n", np.uint32)))
 
 
-def _float_cells(values: np.ndarray):
-    """Bytes of _fixed12(x) for each float64 x, and the mask of those used."""
+def _int_quads(values: np.ndarray, sep: str) -> list:
+    """Quads of str(n) + sep for each integer n, most significant first; the top one leads."""
+    signed = bool((neg := values < 0).any())
+    mag = values.astype(np.uint64 if signed or values.dtype == np.uint64 else np.int64, copy=False)
+    quads, high = [], np.where(neg, -mag, mag) if signed else mag  # exact for -2^63
+    *lower, (top, _) = [(_UNITS[sep], 1000)] + [(_HIGH, 10000)] * (len(str(int(high.max()))) // 4)
+    for table, base in lower:
+        mag, high = high, high // base
+        quads.append(table[np.minimum(mag, mag - high * base + base)])  # mag < base if it leads
+    return ([np.where(neg, _SEP["-"], 0)] if signed else []) + [top[high]] + quads[::-1]
+
+
+def _float_quads(values: np.ndarray, sep: str) -> list:
+    """Quads of _fixed12(x) + sep for each float64 x; the exact route's rows are patched in."""
     ok = np.isfinite(values) & (values > 0)
     x = np.where(ok, values, 1.0)
     e = np.clip(np.floor(np.log10(x)), -4, 11).astype(np.int64)
@@ -155,26 +161,26 @@ def _float_cells(values: np.ndarray):
     d = s - m  # exact; > 0 where m was rounded down
     ok &= (s >= 1e11) & (m < 1e12) & (abs(abs(d) - 0.5) >= 1e-3)  # e right, no carry, no tie
     e, m = np.where(ok, e, 0), np.where(ok, m, 0.0)
-    mag = m.astype(np.uint64)
-    ok &= (e >= 0) | (mag % 10 != 0) | (abs(d) >= 1e-3)
+    mag = m.astype(np.int64)
+    ok &= (e >= 0) | (mag // 10 * 10 != mag) | (abs(d) >= 1e-3)  # // is cheaper than %
     drop = np.zeros(len(x), dtype=np.int64)  # trailing zeros of m to drop, at most -e
     for k in range(1, 1 - min(int(e.min()), 0)):
-        drop += (d <= 0) & (e <= -k) & (mag % 10**k == 0)
+        drop += (d <= 0) & (e <= -k) & (mag // 10**k * 10**k == mag)
     places = 11 - e  # digits after the "."
-    whole = np.floor(m / _SCALE[places])  # exact: m < 2^40
-    n_whole, n_frac = max(int(e.max()), 0) + 1, int(places.max())
-    frac = (m - whole * _SCALE[places]) * _SCALE[n_frac - places]  # padded to n_frac digits
-    texts = [_fixed12(v).encode() for v in values[~ok].tolist()]
-    chars = np.empty((len(x), max([n_whole + 1 + n_frac, *map(len, texts)])), dtype=np.uint8)
-    chars[:, :n_whole] = _digits(whole.astype(np.uint64), n_whole)
-    chars[:, n_whole] = ord(".")
-    chars[:, n_whole + 1 : n_whole + 1 + n_frac] = _digits(frac.astype(np.uint64), n_frac)
-    first, end = n_whole - 1 - np.maximum(e, 0), n_whole + 1 + places - drop
-    for i, text in zip(np.flatnonzero(~ok).tolist(), texts):
-        chars[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
-        first[i], end[i] = 0, len(text)
-    col = np.arange(chars.shape[1])
-    return chars, (col >= first[:, None]) & (col < end[:, None])
+    whole = np.floor(m / _SCALE[places]).astype(np.int64)  # exact: m < 2^40
+    n_frac = -(-int(places.max()) // 4)  # quads after the "."
+    frac = (mag - whole * _POW10[places]) * _POW10[4 * n_frac - places]
+    keep, quads, high = places - drop, [_SEP[sep]], frac
+    for j in range(n_frac - 1, -1, -1):
+        frac, high = high, high // 10000
+        quads.append(_FRAC[frac - high * 10000 + _KEEP[j][keep]])
+    quads = _int_quads(whole, ".") + quads[::-1]
+    if not ok.all():  # the exact route's texts, NUL-padded, replace the quads of their rows
+        texts = np.array([(_fixed12(v) + sep).encode() for v in values[~ok].tolist()])
+        width = max(len(quads), -(-texts.itemsize // 4))
+        quads = np.stack(np.broadcast_arrays(*quads, *[np.uint32(0)] * (width - len(quads))))
+        quads[:, ~ok] = texts.astype(f"S{4 * width}").view(np.uint32).reshape(-1, width).T
+    return list(quads)
 
 
 def write_csv(out: TextIO, header: str, columns) -> None:
@@ -182,25 +188,21 @@ def write_csv(out: TextIO, header: str, columns) -> None:
 
     A column is a range or a numpy array of integers or floats, all of one
     length; integers print in decimal, floats by the 12-digit rule above.
-    Each CSV_CHUNK_ROWS rows become one byte matrix, written at once.
+    Each CSV_CHUNK_ROWS rows become one row-major uint32 record matrix of quads
+    from the tables above, written at once as its bytes with every NUL deleted.
     """
     n_rows = len(columns[0])
     if any(len(c) != n_rows for c in columns):
         raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
     out.write(header + "\n")
     for lo in range(0, n_rows, CSV_CHUNK_ROWS):
-        cells = []
-        for column in columns:
+        quads = []
+        for column, sep in zip(columns, [","] * (len(columns) - 1) + ["\n"]):
             part = column[lo : lo + CSV_CHUNK_ROWS]
-            if isinstance(part, range):
-                part = np.arange(part.start, part.stop, part.step)
+            part = np.arange(part.start, part.stop, part.step) if isinstance(part, range) else part
             is_float = part.dtype.kind == "f"
-            cells.append(_float_cells(part.astype(np.float64)) if is_float else _int_cells(part))
-        comma = np.full((len(part), 1), ord(","), dtype=np.uint8)
-        rows = np.hstack([a for chars, _ in cells for a in (chars, comma)])
-        keep = np.hstack([a for _, mask in cells for a in (mask, np.ones_like(comma, bool))])
-        rows[:, -1] = ord("\n")
-        out.write(rows[keep].tobytes().decode("ascii"))
+            quads += _float_quads(part.astype(float), sep) if is_float else _int_quads(part, sep)
+        out.write(np.stack(np.broadcast_arrays(*quads)).T.tobytes().translate(None, b"\0").decode())
 
 
 def write_figure_csv(h_max: int, out: TextIO) -> None:

@@ -18,8 +18,8 @@ check_table_index refuses one up to F_m past MAX_TABLE_INDEX from m alone,
 before F_m is formed.  Below that cap int64 is exact for the counts and for
 their moments: R(n)**2 <= n+1, so even V(H) = sum_{n<=H} R(n)**2 <= (H+1)(H+2)/2 stays far
 below 2**63.  The peak memory of a table of H+1 entries is its own 8 bytes
-per entry, and check_sqrt_bound, which squares it in place and compares it a
-chunk at a time, adds one chunk.
+per entry, and check_sqrt_bound, which screens it by chunk maxima and squares
+only the chunks the screen cannot clear, adds one chunk.
 moments.moment_table peaks at 16 bytes per entry, because R is squared and
 summed in place to become V beside A; moments.fib_moment_series, which reads
 R at the Fibonacci checkpoints and then squares R in place and sums it,
@@ -129,28 +129,26 @@ class SqrtBoundResult(NamedTuple):
     equality_positions: list[int]
 
 
-SQRT_CHUNK = 1 << 16  # entries per comparison pass: 512 KB of int64, L2-sized
+SQRT_CHUNK = 1 << 12  # entries per screened chunk: 32 KB of int64, L1-sized
 
 
 def check_sqrt_bound(h_max: int) -> SqrtBoundResult:
     """Check R(n) <= sqrt(n+1) on [0, h_max] and locate the equality cases.
 
     Passes iff the bound holds everywhere and equality happens exactly at
-    n = F_m**2 - 1 for Fibonacci numbers F_m, m >= 2.  The table is squared
-    in place and turned into the slack n + 1 - R(n)**2 a chunk at a time
-    against one ramp of n + 1, so the peak is the table's own 8 bytes per
-    entry and one chunk.
+    n = F_m**2 - 1 for Fibonacci numbers F_m, m >= 2.  A chunk from lo on whose
+    largest count, clamped to 2^31 to square it safely, squares below lo + 1 has
+    R(n)**2 < n + 1 throughout; only the other chunks get the slack n + 1 - R(n)**2.
+    The table is left as built: the peak is its 8 bytes per entry and one chunk.
     """
     r = r_table(h_max).r
-    np.multiply(r, r, out=r)
-    ramp = np.arange(1, SQRT_CHUNK + 1, dtype=np.int64)
-    bound_ok = True
-    positions = []
-    for lo in range(0, h_max + 1, SQRT_CHUNK):
-        slack = r[lo : lo + SQRT_CHUNK]
-        np.subtract(ramp[: len(slack)], slack, out=slack)
+    starts = np.arange(0, h_max + 1, SQRT_CHUNK)
+    top = np.minimum(np.maximum.reduceat(r, starts), 1 << 31)
+    bound_ok, positions = True, []
+    for lo in starts[top * top >= starts + 1].tolist():
+        chunk = r[lo : lo + SQRT_CHUNK]
+        slack = np.arange(lo + 1, lo + 1 + len(chunk)) - chunk * chunk
         bound_ok = bound_ok and bool(slack.min() >= 0)
         positions += (np.flatnonzero(slack == 0) + lo).tolist()
-        ramp += SQRT_CHUNK
     expected = sorted({f * f - 1 for f in distinct_fib_upto(h_max + 1) if f * f - 1 <= h_max})
     return SqrtBoundResult(bound_ok and positions == expected, positions)

@@ -223,6 +223,38 @@ def test_csv_rejects_columns_of_different_lengths():
     assert out.getvalue() == ""
 
 
+def _csv_reference(header, columns):
+    """write_csv's output row by row: str for integers, _fixed12 for floats."""
+    lines = [header]
+    for row in zip(*columns):
+        lines.append(",".join(_fixed12(float(v)) if isinstance(v, float) else str(v) for v in row))
+    return "".join(line + "\n" for line in lines)
+
+
+_C = analysis.CSV_CHUNK_ROWS
+_LATE_INTS = [-(2**63), -1, 0, 10**18, 2**63 - 1, -10, 999]  # sign and width: last chunk only
+_LATE_FLOATS = [0.0, -1.0, 1e20, float("nan"), float("inf"), 1e-300, 123456789012.5]
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, _C - 1, _C, _C + 1, 2 * _C + 1])
+def test_multi_chunk_csv_matches_the_row_reference(n_rows):
+    rng = np.random.default_rng(n_rows)
+    ints = rng.integers(0, 1000, n_rows)
+    floats = rng.uniform(1, 10, n_rows) * 10.0 ** rng.integers(-3, 11, n_rows)
+    late = slice(max(n_rows - len(_LATE_FLOATS), 0), n_rows)
+    ints[late] = _LATE_INTS[: len(ints[late])]
+    floats[late] = _LATE_FLOATS[: len(floats[late])]
+    columns = [range(7, 7 + 3 * n_rows, 3), ints, floats, np.full(n_rows, 0.5), ints[::-1].copy()]
+    out = io.StringIO()
+    write_csv(out, "n,a,x,y,b", columns)
+    text = out.getvalue()
+    lists = [list(columns[0]), *(c.tolist() for c in columns[1:])]
+    got, want = text.split("\n"), _csv_reference("n,a,x,y,b", lists).split("\n")
+    assert len(got) == len(want)
+    assert [(i, a, b) for i, (a, b) in enumerate(zip(got, want)) if a != b][:3] == []  # rows differ
+    assert text.isascii() and "\0" not in text
+
+
 def test_few_figure_cells_take_the_exact_route(monkeypatch):
     calls = []
 

@@ -1,4 +1,5 @@
 from collections import Counter
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -160,7 +161,8 @@ def sqrt_bound_reference(h_max):
     return bound_ok and positions == expected, positions
 
 
-@pytest.mark.parametrize("h_max", [SQRT_CHUNK - 1, SQRT_CHUNK, SQRT_CHUNK + 1, 3 * SQRT_CHUNK])
+# 2**16 is a chunk edge for every power-of-two chunk up to it; 4096 is checked below
+@pytest.mark.parametrize("h_max", [(1 << 16) - 1, 1 << 16, (1 << 16) + 1, 3 << 16])
 def test_check_sqrt_bound_matches_full_arrays_at_chunk_edges(h_max):
     assert check_sqrt_bound(h_max) == sqrt_bound_reference(h_max)
 
@@ -171,13 +173,57 @@ def test_check_sqrt_bound_matches_full_arrays(h_max):
     assert check_sqrt_bound(h_max) == sqrt_bound_reference(h_max)
 
 
+_SCREEN_EDGES = sorted(
+    {0, 1, 2, 3, SQRT_CHUNK - 1, SQRT_CHUNK, SQRT_CHUNK + 1, 10**6}
+    | {fib(m) ** 2 - 1 + d for m in range(3, 13) for d in (-1, 0, 1)}
+)
+
+
+@pytest.mark.parametrize("h_max", _SCREEN_EDGES)
+def test_screened_check_sqrt_bound_matches_full_arrays(h_max):
+    # chunk edges, each equality position F_m**2 - 1 at and next to the end, and 10**6
+    assert check_sqrt_bound(h_max) == sqrt_bound_reference(h_max)
+
+
+def test_check_sqrt_bound_fails_on_a_violation_in_a_chunk_the_screen_clears(monkeypatch):
+    h = 8 * SQRT_CHUNK - 1  # eight whole chunks
+    table = r_table(h).r
+    starts = np.arange(0, h + 1, SQRT_CHUNK)
+    tops = np.maximum.reduceat(table, starts)
+    cleared = [int(lo) for lo, top in zip(starts, tops) if top * top < lo + 1]
+    assert cleared  # the case under test exists
+    n = cleared[-1] + SQRT_CHUNK // 2
+    value = isqrt(n + 1) + 1  # the smallest R(n) past the bound
+    real = r_table
+
+    def corrupted(h_max):
+        table = real(h_max)
+        table.r[n] = value
+        return table
+
+    monkeypatch.setattr("fibvar.partitions.r_table", corrupted)
+    assert check_sqrt_bound(h) == (False, sqrt_bound_reference(h)[1])
+
+
+def test_check_sqrt_bound_leaves_the_table_as_built(monkeypatch):
+    built = []
+
+    def recorded(h_max):
+        built.append(r_table(h_max))
+        return built[-1]
+
+    monkeypatch.setattr("fibvar.partitions.r_table", recorded)
+    check_sqrt_bound(3 * SQRT_CHUNK)
+    assert np.array_equal(built[0].r, r_table(3 * SQRT_CHUNK).r)
+
+
 def test_check_sqrt_bound_peak_memory_is_the_table(peak_bytes):
     # the table, its one ramp and a chunk's comparison; full-length temporaries were 3.3 tables
     h = 10**6
     assert peak_bytes(lambda: check_sqrt_bound(h)) <= 1.05 * 8 * (h + 1) + 10 * SQRT_CHUNK
 
 
-@pytest.mark.parametrize("n, value", [(SQRT_CHUNK + 5, 1000), (15, 4)])
+@pytest.mark.parametrize("n, value", [((1 << 16) + 5, 1000), (15, 4)])
 def test_check_sqrt_bound_fails_on_a_wrong_table(monkeypatch, n, value):
     # a violation past the first chunk, or an equality at n = 15, which is no F_m**2 - 1
     real = r_table
@@ -188,7 +234,7 @@ def test_check_sqrt_bound_fails_on_a_wrong_table(monkeypatch, n, value):
         return table
 
     monkeypatch.setattr("fibvar.partitions.r_table", corrupted)
-    passed, positions = check_sqrt_bound(2 * SQRT_CHUNK)
+    passed, positions = check_sqrt_bound(2 << 16)
     assert not passed
     assert (n in positions) == (value**2 == n + 1)
 

@@ -15,8 +15,9 @@ from pathlib import Path
 from fibvar.analysis import exponent_report, write_figure_csv
 from fibvar.casework import verify_case_range
 from fibvar.closed_form import closed_form_v, embed_coefficients, solve_closed_form
-from fibvar.moments import INITIAL, fib_moment_series, verify_lemma
+from fibvar.moments import INITIAL, verify_lemma
 from fibvar.partitions import check_carlitz, check_sqrt_bound
+from fibvar.sweep import fib_pair_counts
 
 LEMMA_M_MAX = 28
 CASES_M_MAX = 16
@@ -35,9 +36,9 @@ def main() -> int:
         print(f"  [{'ok' if ok else 'FAIL'}] {label}")
         failures += not ok
 
-    dp = fib_moment_series(30)
+    v = [0, 0, *fib_pair_counts(30)]  # v[m] is V(F_m)
     print("initial data")
-    check(f"V(F_2..F_6) = {INITIAL}", dp.values[2:7] == INITIAL)
+    check(f"V(F_2..F_6) = {INITIAL}", tuple(v[2:7]) == INITIAL)
 
     print(f"five-term recurrence, m in [7, {LEMMA_M_MAX}]")
     rows = verify_lemma(7, LEMMA_M_MAX)
@@ -59,15 +60,14 @@ def main() -> int:
     print(f"  (c1, c2, c3, c4, c5) ~ ({c1}, {c2}, {c3}, {c4}, {c5})")
     check(
         "matches the tables for m in [2, 28]",
-        all(closed_form_v(m, sol) == dp.v(m) for m in range(2, 29)),
+        all(closed_form_v(m, sol) == v[m] for m in range(2, 29)),
     )
 
     print("asymptotics")
-    v30 = dp.v(30)
     with localcontext() as ctx:
         ctx.prec = 40
         c1 = embed_coefficients(sol, digits=40)[0]
-        ratio = Decimal(v30) / (c1 * sol.lambda1.value**30)
+        ratio = Decimal(v[30]) / (c1 * sol.lambda1.value**30)
     print(f"  V(F_30) / (c1 * lambda1^30) = {+ratio}")
     check("ratio within 1e-6 of 1", abs(ratio - 1) < Decimal("1e-6"))
     constants = exponent_report(30)

@@ -14,25 +14,28 @@ pair falls into exactly one of five cases according to the two largest parts
     5. {F_{m-1}, F_{m-2}} split          -> 2 (w_{m+1} - R(F_{m-3}))
 
 Every count here comes from sweep.pair_completions, which places the
-Fibonacci values from the top and never reads the R table, so the case
-formulas and the closed form of the auxiliary count w_m, evaluated on
-moments.fib_moment_series, are checked against an independent count.  A
-count with fixed top values enters the sweep just below the smaller top, one
-start per choice of the values between the two tops, and a count over the
-window is the count at cap F_m minus the count at cap F_{m-1}.  One sweep
-per m gives the window total, the five cases, the mixed pair {F_m, F_{m-2}}
-and w_m, a few states per Fibonacci value below F_m; case_breakdown reaches
-sweep.MAX_SWEEP_INDEX, and verify_cases, whose expected side is a table up
-to F_m, reaches partitions.MAX_TABLE_INDEX.
+Fibonacci values from the top and never reads the R table.  The expected
+side evaluates the case formulas and the closed form of the auxiliary count
+
+    w_m = V(F_{m-3}) - R(F_{m-3}) - R(F_{m-5}) - V(F_{m-5})
+
+on V(F_k) from moments.recurrence_step, iterated from moments.INITIAL, and on
+R(F_k) = floor(k/2) (Carlitz), which partitions.check_carlitz checks against
+a sweep; neither side builds a table.  A count with fixed top values enters
+the sweep just below the smaller top, one start per choice of the values
+between the two tops, and a count over the window is the count at cap F_m
+minus the count at cap F_{m-1}.  One sweep per m gives the window total, the
+five cases, the mixed pair {F_m, F_{m-2}} and w_m, a few states per Fibonacci
+value below F_m, so case_breakdown and verify_case_range reach
+sweep.MAX_SWEEP_INDEX.
 """
 
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import BudgetError
-from .moments import FibMomentSeries, fib_moment_series
-from .partitions import MAX_TABLE_INDEX
-from .sweep import fib_prefix, pair_completions
+from .moments import INITIAL, recurrence_step
+from .sweep import MAX_SWEEP_INDEX, fib_prefix, pair_completions
 
 # the classes of window pairs by their top values (F_{m-i}, F_{m-j}), i >= j, the
 # smaller top on the X side; a split pair is counted in this order only
@@ -134,28 +137,44 @@ class CaseReport:
         return all(c.ok for c in self.checks)
 
 
-def _case_report(bd: CaseBreakdown, s: FibMomentSeries) -> CaseReport:
+def _fib_moments(m_hi: int) -> list[int]:
+    """v[k] = V(F_k) for 2 <= k <= m_hi by the five-term recurrence; v[0] and v[1] are unused."""
+    v = [0, 0, *INITIAL]
+    for k in range(7, m_hi + 1):
+        v.append(recurrence_step(v, k))
+    return v
+
+
+def _r(k: int) -> int:
+    """R(F_k), by Carlitz's identity."""
+    return k // 2
+
+
+def _w(v: list[int], m: int) -> int:
+    """The closed form of w_m on v[k] = V(F_k)."""
+    return v[m - 3] - _r(m - 3) - _r(m - 5) - v[m - 5]
+
+
+def _case_report(bd: CaseBreakdown, v: list[int]) -> CaseReport:
     m = bd.m
-    case3_expected = (
-        s.v(m - 1)
-        - 4 * s.v(m - 3)
-        + 2 * s.v(m - 5)
-        - 2 * s.r(m - 1)
-        + 2 * s.r(m - 3)
-        + 2 * s.r(m - 5)
-        + 1
-    )
+    case3_expected = v[m - 1] - 4 * v[m - 3] + 2 * v[m - 5] + 1
+    case3_expected += 2 * (_r(m - 3) + _r(m - 5) - _r(m - 1))
     checks = (
         CaseCheck("case1", bd.case1, 1),
-        CaseCheck("case2", bd.case2, s.v(m - 2) - 1),
+        CaseCheck("case2", bd.case2, v[m - 2] - 1),
         CaseCheck("case3", bd.case3, case3_expected),
-        CaseCheck("case4", bd.case4, 2 * s.r(m - 2)),
-        CaseCheck("case5", bd.case5, 2 * (s.w(m + 1) - s.r(m - 3))),
+        CaseCheck("case4", bd.case4, 2 * _r(m - 2)),
+        CaseCheck("case5", bd.case5, 2 * (_w(v, m + 1) - _r(m - 3))),
         CaseCheck("case_sum", bd.case_sum, bd.total),
-        CaseCheck("window_total", bd.total, s.v(m) - s.v(m - 1)),
-        CaseCheck("w", bd.w, s.w(m)),
+        CaseCheck("window_total", bd.total, v[m] - v[m - 1]),
+        CaseCheck("w", bd.w, _w(v, m)),
     )
     return CaseReport(m=m, checks=checks)
+
+
+def _refuse_past(m: int, budget: int) -> None:
+    if m > budget:
+        raise BudgetError(f"the case check at m={m} exceeds the budget of m <= {budget}")
 
 
 def verify_case_range(m_lo: int, m_hi: int) -> list[CaseReport]:
@@ -163,20 +182,20 @@ def verify_case_range(m_lo: int, m_hi: int) -> list[CaseReport]:
 
     Also checks that the cases sum to the window total, that the total equals
     V(F_m) - V(F_{m-1}), and that the swept w_m matches its closed form.
-    Every R, V and w on the expected side, w_{m+1} of case 5 included, comes
-    from one fib_moment_series(m_hi), the table route, which refuses m_hi
-    past partitions.MAX_TABLE_INDEX from m_hi alone, before any count.
+    Every V on the expected side, w_{m+1} of case 5 included, comes from one
+    run of the recurrence up to m_hi.  m_hi is refused past
+    sweep.MAX_SWEEP_INDEX from m_hi alone, before any count.
     """
     if m_lo < 7:
         raise ValueError(f"the five-way case split needs m >= 7, got m_lo={m_lo}")
     if m_hi < m_lo:
         raise ValueError(f"empty range [{m_lo}, {m_hi}]")
-    s = fib_moment_series(m_hi)
-    return [_case_report(case_breakdown(m), s) for m in range(m_lo, m_hi + 1)]
+    _refuse_past(m_hi, MAX_SWEEP_INDEX)
+    v = _fib_moments(m_hi)
+    return [_case_report(case_breakdown(m), v) for m in range(m_lo, m_hi + 1)]
 
 
-def verify_cases(m: int, budget: int = MAX_TABLE_INDEX) -> CaseReport:
+def verify_cases(m: int, budget: int = MAX_SWEEP_INDEX) -> CaseReport:
     """verify_case_range for the single m; budget is the largest m accepted."""
-    if m > budget:
-        raise BudgetError(f"the case check at m={m} exceeds the budget of m <= {budget}")
+    _refuse_past(m, budget)
     return verify_case_range(m, m)[0]

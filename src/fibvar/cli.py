@@ -180,7 +180,7 @@ def _cmd_verify_lemma(args) -> int:
 
 
 # Both case commands check every m before printing any row, so a range that
-# runs past the table budget exits with no partial output.
+# runs past the sweep budget exits with no partial output.
 def _cmd_verify_cases(args) -> int:
     reports = casework.verify_case_range(*_m_bounds(args))
     return _report("verify-cases", (

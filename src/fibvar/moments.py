@@ -1,23 +1,17 @@
 """First and second moments of the partition counts, and the five-term recurrence.
 
 A(H) = sum_{n<=H} R(n) and V(H) = sum_{n<=H} R(n)^2 over a range come from
-moment_table, as prefix-sum arrays.  R(F_m) and V(F_m) at the Fibonacci
-checkpoints come from fib_moment_series, which reads them off one R table up
-to F_m and keeps no array.  Along the checkpoints the second moment
-satisfies, for m >= 7,
+moment_table, as prefix-sum arrays.  V(F_m) at a single Fibonacci checkpoint
+comes from v_at_fib, one start of the pair sweep of fibvar.sweep, which
+builds no table.  Along the checkpoints the second moment satisfies, for
+m >= 7,
 
     V(F_m) = 2 V(F_{m-1}) + 3 V(F_{m-2}) - 4 V(F_{m-3}) - 2 V(F_{m-4})
              + 2 V(F_{m-5}) + 1 - 2*floor(m/2),
 
 which LAG_COEFFS and recurrence_step state once and verify_lemma checks as
 an identity between two independently computed sides.  verify_lemma takes
-V(F_m) from sweep.fib_pair_counts instead of the table, so it reaches m =
-sweep.MAX_SWEEP_INDEX where the table stops at partitions.MAX_TABLE_INDEX.
-FibMomentSeries.w evaluates the auxiliary count
-
-    w_m = V(F_{m-3}) - R(F_{m-3}) - R(F_{m-5}) - V(F_{m-5}),
-
-which fibvar.casework also counts by a forced pair sweep.
+V(F_m) from sweep.fib_pair_counts, so it reaches m = sweep.MAX_SWEEP_INDEX.
 """
 
 from dataclasses import dataclass
@@ -25,9 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fibonacci import distinct_fib_upto, fib
-from .partitions import check_table_index, r_table
-from .sweep import fib_pair_counts
+from .partitions import r_table
+from .sweep import fib_pair_counts, fib_prefix, pair_completions
 
 
 @dataclass(frozen=True)
@@ -54,61 +47,9 @@ def moment_table(h_max: int) -> MomentTable:
 
 
 def v_at_fib(m: int) -> int:
-    """V(F_m) for m >= 2."""
-    return fib_moment_series(m).v(m)
-
-
-@dataclass(frozen=True)
-class FibMomentSeries:
-    """R and V at F_m for 2 <= m <= m_max; counts[m] is R(F_m), values[m] is V(F_m).
-
-    Entries 0 and 1 of both tuples are unused.
-    """
-
-    m_max: int
-    counts: tuple[int, ...]
-    values: tuple[int, ...]
-
-    def _index(self, m: int) -> int:
-        if not 2 <= m <= self.m_max:
-            raise ValueError(f"m={m} outside series range [2, {self.m_max}]")
-        return m
-
-    def r(self, m: int) -> int:
-        return self.counts[self._index(m)]
-
-    def v(self, m: int) -> int:
-        return self.values[self._index(m)]
-
-    def w(self, m: int) -> int:
-        """The auxiliary count w_m, for 7 <= m <= m_max + 3."""
-        if m < 7:
-            raise ValueError(f"w_m needs m >= 7, got {m}")
-        value = self.v(m - 3) - self.r(m - 3) - self.r(m - 5) - self.v(m - 5)
-        if value < 0:
-            raise RuntimeError(f"w_{m} came out as {value} < 0: the series values disagree")
-        return value
-
-
-def fib_moment_series(m_max: int) -> FibMomentSeries:
-    """R and V at every Fibonacci checkpoint up to F_m_max from one R table.
-
-    R(F_m) is read off the table before it is squared in place (R(n)**2 <=
-    n+1 fits int64) and summed block by block between checkpoints, so the
-    peak is the table's own 8 bytes per entry and no V array is built.
-    """
-    if m_max < 2:
-        raise ValueError(f"m_max must be >= 2, got {m_max}")
-    check_table_index(m_max)
-    table = r_table(fib(m_max))
-    checkpoints = distinct_fib_upto(table.h_max)  # F_2 .. F_m_max
-    squares = table.r
-    counts = squares[checkpoints].tolist()
-    np.multiply(squares, squares, out=squares)
-    # block i sums squares[F_{i+1}+1 .. F_{i+2}], with block 0 = [0, F_2]
-    starts = [0] + [f + 1 for f in checkpoints[:-1]]
-    values = np.cumsum(np.add.reduceat(squares, starts)).tolist()
-    return FibMomentSeries(m_max=m_max, counts=(0, 0, *counts), values=(0, 0, *values))
+    """V(F_m) for 2 <= m <= sweep.MAX_SWEEP_INDEX: the pairs of subsets with equal sums <= F_m."""
+    fibs = fib_prefix(m)
+    return pair_completions(fibs, [(m, (0, fibs[m]))])[0]
 
 
 LAG_COEFFS = (2, 3, -4, -2, 2)  # the factors of V(F_{m-1}) .. V(F_{m-5})

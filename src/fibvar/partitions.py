@@ -13,22 +13,18 @@ n - F_k, or lies inside {F_2..F_{k-1}}, whose values sum to F_{k+1} - 2,
 and its complement there is a partition of F_{k+1} - 2 - n.  Both arguments
 lie below F_k.
 
-r_table refuses any table of more than MAX_TABLE_ENTRIES entries, and
-check_table_index refuses one up to F_m past MAX_TABLE_INDEX from m alone,
-before F_m is formed.  Below that cap int64 is exact for the counts and for
-their moments: R(n)**2 <= n+1, so even V(H) = sum_{n<=H} R(n)**2 <= (H+1)(H+2)/2 stays far
-below 2**63.  The peak memory of a table of H+1 entries is its own 8 bytes
-per entry, and check_sqrt_bound, which screens it by chunk maxima and squares
+r_table refuses any table of more than MAX_TABLE_ENTRIES entries.  Below
+that cap int64 is exact for the counts and for their moments: R(n)**2 <=
+n+1, so even V(H) = sum_{n<=H} R(n)**2 <= (H+1)(H+2)/2 stays far below
+2**63.  The peak memory of a table of H+1 entries is its own 8 bytes per
+entry, and check_sqrt_bound, which screens it by chunk maxima and squares
 only the chunks the screen cannot clear, adds one chunk.
 moments.moment_table peaks at 16 bytes per entry, because R is squared and
-summed in place to become V beside A; moments.fib_moment_series, which reads
-R at the Fibonacci checkpoints and then squares R in place and sums it,
-peaks at 8.
+summed in place to become V beside A.
 
 check_carlitz needs R only at the checkpoints F_m, and takes it from
 sweep.fib_partition_counts, which holds a few states per Fibonacci value
-instead of a table, so it reaches m = sweep.MAX_SWEEP_INDEX instead of
-MAX_TABLE_INDEX.
+instead of a table, so it reaches m = sweep.MAX_SWEEP_INDEX.
 """
 
 from dataclasses import dataclass
@@ -41,8 +37,6 @@ from .fibonacci import distinct_fib_upto
 from .sweep import fib_partition_counts
 
 MAX_TABLE_ENTRIES = 10**8  # 0.8 GB for R alone, 1.6 GB for moment_table
-# the largest m whose table R(0..F_m) fits: F_39 < 10**8 <= F_40
-MAX_TABLE_INDEX = len(distinct_fib_upto(MAX_TABLE_ENTRIES - 1)) + 1
 
 
 @dataclass(frozen=True)
@@ -86,15 +80,6 @@ def r_table(h_max: int) -> CountTable:
             r[f + prev - 1] = r[prev - 1]
         prev, f = f, f + prev
     return CountTable(h_max=h_max, r=r)
-
-
-def check_table_index(m: int) -> None:
-    """Refuse a table up to F_m past the cap from m alone, before F_m is formed."""
-    if m > MAX_TABLE_INDEX:
-        raise BudgetError(
-            f"a table up to F_{m} exceeds the budget of {MAX_TABLE_ENTRIES} entries "
-            f"(m <= {MAX_TABLE_INDEX})"
-        )
 
 
 def r(n: int) -> int:

@@ -4,8 +4,9 @@ import pytest
 
 from fibvar.closed_form import solve_closed_form
 from fibvar.fibonacci import fib
-from fibvar.moments import fib_moment_series, moment_table
+from fibvar.moments import moment_table
 from fibvar.partitions import r_table
+from table_reference import MAX_TABLE_INDEX, fib_moment_series
 
 
 def _peak_bytes(fn):
@@ -33,6 +34,12 @@ def counts_2000():
 def series_f28():
     """V(F_m) for m = 2..28 from one table build."""
     return fib_moment_series(28)
+
+
+@pytest.fixture(scope="session")
+def series_f39():
+    """R(F_m) and V(F_m) for m = 2..39 from the R table up to F_39, the largest that fits."""
+    return fib_moment_series(MAX_TABLE_INDEX)
 
 
 @pytest.fixture(scope="session")

@@ -14,8 +14,9 @@ from fibvar.analysis import exponent_report, write_figure_csv
 from fibvar.casework import verify_cases
 from fibvar.closed_form import closed_form_v, embed_coefficients, solve_closed_form
 from fibvar.fibonacci import distinct_fib_upto, fib
-from fibvar.moments import fib_moment_series, moment_table, recurrence_step, verify_lemma
+from fibvar.moments import moment_table, recurrence_step, verify_lemma
 from fibvar.partitions import check_carlitz, check_sqrt_bound
+from table_reference import fib_moment_series
 
 
 @pytest.fixture(scope="module", autouse=True)

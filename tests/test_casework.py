@@ -15,8 +15,9 @@ from fibvar.casework import (
 from fibvar.closed_form import closed_form_v
 from fibvar.errors import BudgetError
 from fibvar.fibonacci import distinct_fib_upto, fib
-from fibvar.moments import fib_moment_series, v_at_fib
-from fibvar.partitions import MAX_TABLE_INDEX
+from fibvar.moments import v_at_fib
+from fibvar.sweep import MAX_SWEEP_INDEX
+from table_reference import MAX_TABLE_INDEX, fib_moment_series
 
 
 def subset_buckets(top, lo, hi):
@@ -105,19 +106,21 @@ def test_case_verdicts_follow_their_sides():
 
 
 def test_verify_cases_budget_counts_m_only():
-    # case 5 needs w_{m+1}, which the table up to F_m gives; only m meets the cap
-    with pytest.raises(BudgetError, match=f"m <= {MAX_TABLE_INDEX}"):
-        verify_cases(MAX_TABLE_INDEX + 1)
-    # budget= lowers the cap; a higher one still meets the table's
+    # case 5 needs w_{m+1}, which V up to F_{m-2} gives; only m meets the cap
+    with pytest.raises(BudgetError, match=f"m <= {MAX_SWEEP_INDEX}"):
+        verify_cases(MAX_SWEEP_INDEX + 1)
+    # budget= lowers the cap; a higher one still meets the sweep's
     with pytest.raises(BudgetError):
         verify_cases(21, budget=20)
     assert verify_cases(21, budget=21).passed
-    with pytest.raises(BudgetError):
-        verify_cases(MAX_TABLE_INDEX + 1, budget=MAX_TABLE_INDEX + 1)
+    with pytest.raises(BudgetError, match=f"m <= {MAX_SWEEP_INDEX}"):
+        verify_cases(MAX_SWEEP_INDEX + 1, budget=MAX_SWEEP_INDEX + 1)
     # refused from m alone: F_{10**6} has 208988 digits and is never formed
     start = time.perf_counter()
     with pytest.raises(BudgetError):
         verify_cases(10**6)
+    with pytest.raises(BudgetError):
+        verify_case_range(7, 10**6)
     assert time.perf_counter() - start < 1.0
 
 
@@ -127,20 +130,48 @@ def test_verify_cases_reaches_the_table_cap():
     assert all(r.passed for r in reports)
 
 
+def test_expected_side_matches_the_table_reference(series_f39):
+    # the recurrence's V and Carlitz's R against the R table up to F_39, check by check
+    s = series_f39
+    for report in verify_case_range(7, MAX_TABLE_INDEX):
+        m = report.m
+        case3 = s.v(m - 1) - 4 * s.v(m - 3) + 2 * s.v(m - 5)
+        case3 += -2 * s.r(m - 1) + 2 * s.r(m - 3) + 2 * s.r(m - 5) + 1
+        expected = {
+            "case1": 1,
+            "case2": s.v(m - 2) - 1,
+            "case3": case3,
+            "case4": 2 * s.r(m - 2),
+            "case5": 2 * (s.w(m + 1) - s.r(m - 3)),
+            "window_total": s.v(m) - s.v(m - 1),
+            "w": s.w(m),
+        }
+        got = {c.name: c.expected for c in report.checks if c.name != "case_sum"}
+        assert got == expected, m
+
+
+def test_verify_cases_reaches_past_the_table():
+    reports = verify_case_range(40, 60)
+    assert [r.m for r in reports] == list(range(40, 61))
+    assert all(r.passed for r in reports)
+    assert verify_cases(MAX_SWEEP_INDEX).passed
+
+
 def test_range_is_the_single_m_call_repeated():
     reports = verify_case_range(7, 21)
     assert reports == [verify_cases(m) for m in range(7, 22)]
 
 
 def test_range_builds_one_series(monkeypatch):
+    # one run of the recurrence up to m_hi serves every m of the range
     built = []
-    original = casework.fib_moment_series
+    original = casework._fib_moments
 
-    def counted(m_max):
-        built.append(m_max)
-        return original(m_max)
+    def counted(m_hi):
+        built.append(m_hi)
+        return original(m_hi)
 
-    monkeypatch.setattr(casework, "fib_moment_series", counted)
+    monkeypatch.setattr(casework, "_fib_moments", counted)
     verify_case_range(7, 20)
     assert built == [20]
 
@@ -236,5 +267,5 @@ def test_mixed_top_pair_is_rejected(monkeypatch):
 
 
 def test_verify_cases_peak_memory(peak_bytes):
-    # the table up to F_21 on the expected side, 87.6 KB, and about 30 KB of sweep
-    assert peak_bytes(lambda: verify_cases(21, budget=22)) <= 8 * (fib(21) + 1) + 2**16
+    # about 30 KB of sweep and no table: the R table up to F_21 alone would be 87.6 KB
+    assert peak_bytes(lambda: verify_cases(21, budget=22)) < 2**16

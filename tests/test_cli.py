@@ -223,15 +223,22 @@ def test_budget_exceeded_exit_code(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("command", ["verify-cases", "verify-w"])
+def test_case_commands_pass_past_the_table(capsys, command):
+    code, out, _ = run_cli(capsys, command, "--from", "38", "--to", "40")
+    assert code == 0
+    assert out.splitlines()[-1] == f"{command}: PASS"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify-cases", "--from", "20", "--to", "40"],
-        ["verify-w", "--from", "19", "--to", "40"],
+        ["verify-cases", "--from", "20", "--to", "10001"],
+        ["verify-w", "--from", "19", "--to", "10001"],
     ],
 )
 def test_range_past_enumeration_budget_prints_nothing(capsys, argv):
-    # the table up to F_40 on the expected side is past its cap: refused before any row
+    # m_hi past the sweep's cap: refused from m_hi alone, before any row
     code, out, err = run_cli(capsys, *argv)
     assert code == 3
     assert out == ""

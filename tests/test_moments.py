@@ -2,15 +2,13 @@
 import numpy as np
 import pytest
 
+from fibvar.closed_form import closed_form_v
+from fibvar.errors import BudgetError
 from fibvar.fibonacci import fib
-from fibvar.moments import (
-    FibMomentSeries,
-    fib_moment_series,
-    moment_table,
-    v_at_fib,
-    verify_lemma,
-)
+from fibvar.moments import moment_table, v_at_fib, verify_lemma
 from fibvar.partitions import r_table
+from fibvar.sweep import MAX_SWEEP_INDEX
+from table_reference import FibMomentSeries, fib_moment_series
 
 INITIAL = (2, 3, 7, 12, 26)  # V(F_2)..V(F_6)
 
@@ -37,8 +35,9 @@ def test_moment_table_peak_memory_is_a_and_v(peak_bytes):
     assert peak_bytes(lambda: moment_table(10**6)) <= 2.05 * 8 * (10**6 + 1)
 
 
-def test_v_at_fib_peak_memory_is_r_alone(peak_bytes):
-    assert peak_bytes(lambda: v_at_fib(30)) <= 1.05 * 8 * (fib(30) + 1)
+def test_v_at_fib_builds_no_table(peak_bytes):
+    # one pair sweep of a few states per Fibonacci value; the R table up to F_30 is 6.7 MB
+    assert peak_bytes(lambda: v_at_fib(30)) < 2**16
 
 
 def test_moment_table_is_the_prefix_sums_of_r():
@@ -88,6 +87,16 @@ def test_v_at_fib_oracle_values(series_f28):
 def test_v_at_fib_rejects_small_m():
     with pytest.raises(ValueError):
         v_at_fib(1)
+
+
+@pytest.mark.parametrize("m", [40, 100, 1000])
+def test_v_at_fib_matches_the_closed_form_past_the_table(m, solution):
+    assert v_at_fib(m) == closed_form_v(m, solution)
+
+
+def test_v_at_fib_is_refused_past_the_sweep_cap():
+    with pytest.raises(BudgetError, match=f"F_{MAX_SWEEP_INDEX + 1}"):
+        v_at_fib(MAX_SWEEP_INDEX + 1)
 
 
 def test_fib_moment_series_shape(series_f28):

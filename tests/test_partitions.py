@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from fibvar.errors import BudgetError
 from fibvar.fibonacci import distinct_fib_upto, fib
-from fibvar.moments import fib_moment_series
 from fibvar.partitions import (
     MAX_TABLE_ENTRIES,
-    MAX_TABLE_INDEX,
     SQRT_CHUNK,
     CarlitzRow,
     check_carlitz,
@@ -20,6 +18,7 @@ from fibvar.partitions import (
     r_table,
 )
 from fibvar.sweep import MAX_SWEEP_INDEX
+from table_reference import MAX_TABLE_INDEX, fib_moment_series
 
 FIB_K_MAX = 33  # F_33 = 3524578
 

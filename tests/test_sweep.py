@@ -6,8 +6,8 @@ import pytest
 
 from fibvar.closed_form import closed_form_v
 from fibvar.errors import BudgetError
-from fibvar.moments import fib_moment_series, verify_lemma
-from fibvar.partitions import MAX_TABLE_INDEX, check_carlitz
+from fibvar.moments import verify_lemma
+from fibvar.partitions import check_carlitz
 from fibvar.sweep import (
     MAX_SWEEP_INDEX,
     fib_pair_counts,
@@ -15,13 +15,13 @@ from fibvar.sweep import (
     fib_prefix,
     pair_completions,
 )
+from table_reference import MAX_TABLE_INDEX
 
 
-def test_sweep_matches_the_table_at_every_checkpoint_it_allows():
-    series = fib_moment_series(MAX_TABLE_INDEX)  # the R table up to F_39
+def test_sweep_matches_the_table_at_every_checkpoint_it_allows(series_f39):
     ms = range(2, MAX_TABLE_INDEX + 1)
-    assert fib_pair_counts(MAX_TABLE_INDEX) == [series.v(m) for m in ms]
-    assert fib_partition_counts(MAX_TABLE_INDEX) == [series.r(m) for m in ms]
+    assert fib_pair_counts(MAX_TABLE_INDEX) == [series_f39.v(m) for m in ms]
+    assert fib_partition_counts(MAX_TABLE_INDEX) == [series_f39.r(m) for m in ms]
 
 
 def test_sweep_of_a_shorter_range_is_a_prefix():

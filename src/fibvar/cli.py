@@ -14,7 +14,7 @@ from decimal import Decimal
 
 from . import analysis, casework, closed_form, moments, partitions
 from .errors import BudgetError
-from .fibonacci import fib, zeckendorf
+from .fibonacci import distinct_fib_upto, zeckendorf
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -125,9 +125,10 @@ def _cmd_r(args) -> int:
 
 
 def _cmd_zeckendorf(args) -> int:
-    repr_ = zeckendorf(args.n)
-    terms = " + ".join(f"F_{i}" for i in repr_.indices)
-    values = " + ".join(str(fib(i)) for i in repr_.indices)
+    indices = zeckendorf(args.n).indices
+    fibs = distinct_fib_upto(args.n)  # fibs[i - 2] is F_i
+    terms = " + ".join(f"F_{i}" for i in indices)
+    values = " + ".join(str(fibs[i - 2]) for i in indices)
     print(f"{args.n} = {terms} = {values}")
     return EXIT_OK
 
@@ -195,7 +196,7 @@ def _cmd_verify_w(args) -> int:
         for r in casework.verify_case_range(*_m_bounds(args))
     ]
     return _report(
-        "verify-w", ((f"m={m} brute={c.actual} closed={c.expected}", c.ok) for m, c in checks)
+        "verify-w", ((f"m={m} swept={c.actual} closed={c.expected}", c.ok) for m, c in checks)
     )
 
 

@@ -38,10 +38,6 @@ class ZeckendorfRepr:
 
     indices: tuple[int, ...]
 
-    @property
-    def value(self) -> int:
-        return sum(fib(i) for i in self.indices)
-
 
 def zeckendorf(n: int) -> ZeckendorfRepr:
     """Greedy Zeckendorf decomposition of n >= 1."""

@@ -54,7 +54,7 @@ def reference_breakdown(m):
 
 
 def test_w_bruteforce_matches_closed_form():
-    # "brute" as in the CLI's verify-w rows: the counted side, not the formula
+    # "swept" as in the CLI's verify-w rows: the counted side, not the formula
     for m in range(7, 17):
         assert case_breakdown(m).w == fib_moment_series(m - 3).w(m), m
 

@@ -110,7 +110,7 @@ def test_range_commands_print_usage_on_a_bad_range(capsys, command, bounds):
 def test_verify_w_subcommand(capsys):
     code, out, _ = run_cli(capsys, "verify-w", "--from", "7", "--to", "10")
     assert code == 0
-    assert "m=9 brute=14 closed=14 PASS" in out.splitlines()
+    assert "m=9 swept=14 closed=14 PASS" in out.splitlines()
 
 
 def test_verify_cases_subcommand(capsys):

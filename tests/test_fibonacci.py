@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fibvar.fibonacci import ZeckendorfRepr, distinct_fib_upto, fib, zeckendorf
+from fibvar.fibonacci import distinct_fib_upto, fib, zeckendorf
 
 
 def test_fib_base_values():
@@ -48,7 +48,7 @@ def test_zeckendorf_rejects_nonpositive(n):
 @given(st.integers(min_value=1, max_value=10**12))
 def test_zeckendorf_roundtrip_and_shape(n):
     z = zeckendorf(n)
-    assert z.value == n
+    assert sum(fib(i) for i in z.indices) == n
     assert all(i >= 2 for i in z.indices)
     assert all(a > b + 1 for a, b in zip(z.indices, z.indices[1:]))
 
@@ -75,7 +75,3 @@ def test_zeckendorf_unique_for_small_n():
     for n in range(1, 1001):
         assert counts.get(n, 0) == 1, n
         assert sum(fib(i) for i in zeckendorf(n).indices) == n
-
-
-def test_zeckendorf_repr_value_property():
-    assert ZeckendorfRepr(indices=(11, 6, 4)).value == 100

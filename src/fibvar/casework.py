@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 from .errors import BudgetError
 from .moments import INITIAL, recurrence_step
-from .sweep import MAX_SWEEP_INDEX, fib_prefix, pair_completions
+from .sweep import MAX_SWEEP_INDEX, pair_completions, sweep_fibs
 
 # the classes of window pairs by their top values (F_{m-i}, F_{m-j}), i >= j, the
 # smaller top on the X side; a split pair is counted in this order only
@@ -57,7 +57,7 @@ def _class_counts(m: int) -> dict[str, int]:
     subset is one start (Y so far - F_a, cap - F_a).  w_m is the class with
     tops (F_{m-3}, F_{m-2}) at caps F_{m-1} and F_{m-3}.
     """
-    fibs = fib_prefix(m)
+    fibs = sweep_fibs(m)
     starts = [(m, (0, fibs[m])), (m, (0, fibs[m - 1]))]
     tags = [("total", 1), ("total", -1)]  # the count start i adds to, and its sign
     classes = [(name, m - i, m - j, m, m - 1) for name, (i, j) in _TOPS.items()]

@@ -14,7 +14,7 @@ from decimal import Decimal
 
 from . import analysis, casework, closed_form, moments, partitions
 from .errors import BudgetError
-from .fibonacci import distinct_fib_upto, zeckendorf
+from .fibonacci import zeckendorf
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -125,10 +125,9 @@ def _cmd_r(args) -> int:
 
 
 def _cmd_zeckendorf(args) -> int:
-    indices = zeckendorf(args.n).indices
-    fibs = distinct_fib_upto(args.n)  # fibs[i - 2] is F_i
-    terms = " + ".join(f"F_{i}" for i in indices)
-    values = " + ".join(str(fibs[i - 2]) for i in indices)
+    z = zeckendorf(args.n)
+    terms = " + ".join(f"F_{i}" for i in z.indices)
+    values = " + ".join(map(str, z.values))
     print(f"{args.n} = {terms} = {values}")
     return EXIT_OK
 

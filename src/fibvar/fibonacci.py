@@ -1,31 +1,21 @@
-"""Fibonacci indexing, distinct-value enumeration, and Zeckendorf decomposition.
+"""The Fibonacci list and Zeckendorf decomposition.
 
-Everything here works with the convention F_1 = F_2 = 1, so the distinct
-Fibonacci *values* are {1, 2, 3, 5, 8, ...} with 1 appearing once.  All
-arithmetic is on Python ints, so indices and values may grow without bound.
+fib_list is the one builder of Fibonacci numbers in fibvar, and its list is
+indexed by the Fibonacci index: entry k is F_k, with F_0 = 0 and F_1 = F_2 =
+1.  The distinct Fibonacci *values* {1, 2, 3, 5, 8, ...} are its entries from
+F_2 on.  All arithmetic is on Python ints, so indices and values may grow
+without bound.
 """
 
 from dataclasses import dataclass
 
 
-def fib(m: int) -> int:
-    """Return F_m with F_1 = F_2 = 1.  Raises ValueError for m < 1."""
-    if m < 1:
-        raise ValueError(f"Fibonacci index must be >= 1, got {m}")
-    a, b = 1, 1
-    for _ in range(m - 1):
-        a, b = b, a + b
-    return a
-
-
-def distinct_fib_upto(h: int) -> list[int]:
-    """All distinct Fibonacci values <= h, increasing; 1 listed once."""
-    if h < 1:
-        return []
-    values = [1, 2]
-    while values[-1] + values[-2] <= h:
-        values.append(values[-1] + values[-2])
-    return [v for v in values if v <= h]
+def fib_list(k_max: int) -> list[int]:
+    """F_0, F_1, ..., F_{k_max}: entry k is F_k."""
+    fibs = [0, 1][: k_max + 1]
+    while len(fibs) <= k_max:
+        fibs.append(fibs[-1] + fibs[-2])
+    return fibs
 
 
 @dataclass(frozen=True)
@@ -33,23 +23,25 @@ class ZeckendorfRepr:
     """The unique sum of non-consecutive Fibonacci numbers for a positive integer.
 
     indices is strictly decreasing, every entry >= 2, and no two entries are
-    consecutive integers.
+    consecutive integers; values[j] is F_{indices[j]}.
     """
 
     indices: tuple[int, ...]
+    values: tuple[int, ...]
 
 
 def zeckendorf(n: int) -> ZeckendorfRepr:
     """Greedy Zeckendorf decomposition of n >= 1."""
     if n < 1:
         raise ValueError(f"Zeckendorf representation needs n >= 1, got {n}")
-    values = distinct_fib_upto(n)  # values[0] == F_2
+    # F_k >= phi^(k-2) and 1.441 log2(phi) > 1, so F_k > n for k > 2 + 1.441 n.bit_length()
+    fibs = fib_list(2 + n.bit_length() * 1441 // 1000)
     indices = []
     rest = n
-    for pos in range(len(values) - 1, -1, -1):
-        if values[pos] <= rest:
-            rest -= values[pos]
-            indices.append(pos + 2)
+    for k in range(len(fibs) - 1, 1, -1):
+        if fibs[k] <= rest:
+            rest -= fibs[k]
+            indices.append(k)
     if rest != 0:
         raise RuntimeError(f"greedy decomposition of {n} left remainder {rest}")
-    return ZeckendorfRepr(indices=tuple(indices))
+    return ZeckendorfRepr(indices=tuple(indices), values=tuple(fibs[k] for k in indices))

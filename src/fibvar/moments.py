@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .partitions import r_table
-from .sweep import fib_pair_counts, fib_prefix, pair_completions
+from .sweep import fib_pair_counts, pair_completions, sweep_fibs
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ def moment_table(h_max: int) -> MomentTable:
 
 def v_at_fib(m: int) -> int:
     """V(F_m) for 2 <= m <= sweep.MAX_SWEEP_INDEX: the pairs of subsets with equal sums <= F_m."""
-    fibs = fib_prefix(m)
+    fibs = sweep_fibs(m)
     return pair_completions(fibs, [(m, (0, fibs[m]))])[0]
 
 

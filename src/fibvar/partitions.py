@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BudgetError
-from .fibonacci import distinct_fib_upto
+from .fibonacci import fib_list
 from .sweep import fib_partition_counts
 
 MAX_TABLE_ENTRIES = 10**8  # 0.8 GB for R alone, 1.6 GB for moment_table
@@ -45,14 +45,6 @@ class CountTable:
 
     h_max: int
     r: np.ndarray
-
-    def count(self, n: int) -> int:
-        """R(n); 0 for negative n.  n must not exceed h_max."""
-        if n < 0:
-            return 0
-        if n > self.h_max:
-            raise ValueError(f"n={n} beyond table range {self.h_max}")
-        return int(self.r[n])
 
 
 def r_table(h_max: int) -> CountTable:
@@ -86,7 +78,7 @@ def r(n: int) -> int:
     """R(n) for a single argument; negative n gives 0."""
     if n < 0:
         return 0
-    return r_table(n).count(n)
+    return int(r_table(n).r[n])
 
 
 class CarlitzRow(NamedTuple):
@@ -135,5 +127,8 @@ def check_sqrt_bound(h_max: int) -> SqrtBoundResult:
         slack = np.arange(lo + 1, lo + 1 + len(chunk)) - chunk * chunk
         bound_ok = bound_ok and bool(slack.min() >= 0)
         positions += (np.flatnonzero(slack == 0) + lo).tolist()
-    expected = sorted({f * f - 1 for f in distinct_fib_upto(h_max + 1) if f * f - 1 <= h_max})
+    # F_k^2 >= phi^(2k-4) >= 2^(k-2), so F_k^2 <= h_max + 1 < 2^b needs k <= b + 1;
+    # the values start at F_2, as F_0 = 0 would add -1 and F_1 = F_2 a duplicate
+    fibs = fib_list((h_max + 1).bit_length() + 1)
+    expected = [f * f - 1 for f in fibs[2:] if f * f - 1 <= h_max]
     return SqrtBoundResult(bound_ok and positions == expected, positions)

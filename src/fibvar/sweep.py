@@ -31,17 +31,19 @@ pass sums completion counts from F_2 up and reads the count of each start.
 Neither count uses the table of partitions.r_table nor the five-term
 recurrence, so each is an independent route to the values they give.  All
 arithmetic is on Python ints, and nothing is kept between calls.
-MAX_SWEEP_INDEX caps the top level and fib_prefix checks it before F_m is
-formed: at the cap V(F_m) has 3946 digits, below the 4300 that str(int)
-accepts by default.
+MAX_SWEEP_INDEX caps the top level.  sweep_fibs checks the top index m
+against it, from m alone, before it asks fibonacci.fib_list for the list:
+at the cap V(F_m) has 3946 digits, below the 4300 that str(int) accepts by
+default.
 """
 
 from .errors import BudgetError
+from .fibonacci import fib_list
 
 MAX_SWEEP_INDEX = 10**4
 
 
-def fib_prefix(m_max: int) -> list[int]:
+def sweep_fibs(m_max: int) -> list[int]:
     """F_0, F_1, ..., F_{m_max+1}: the values and level sums of a sweep from level m_max."""
     if m_max < 2:
         raise ValueError(f"m_max must be >= 2, got {m_max}")
@@ -49,30 +51,20 @@ def fib_prefix(m_max: int) -> list[int]:
         raise BudgetError(
             f"a sweep up to F_{m_max} exceeds the budget of m <= {MAX_SWEEP_INDEX}"
         )
-    fibs = [0, 1]
-    while len(fibs) < m_max + 2:
-        fibs.append(fibs[-1] + fibs[-2])
-    return fibs
-
-
-class _Places(dict):
-    """The states of a level, each mapped to its place in order of first lookup."""
-
-    def __missing__(self, state):
-        self[state] = place = len(self)
-        return place
+    return fib_list(m_max + 1)
 
 
 def _sweep(fibs: list[int], starts: list[tuple], moves) -> list[int]:
     """The completion count of each start (k, state), in order.
 
-    Every k lies in [2, len(fibs) - 2]: fibs is fib_prefix of the highest.
-    moves(level, v, s, place) lists, for each state of a level, the places
-    place(state) in the level below of the states that placing the value v
-    can leave, with s the sum of the values below v.  It leaves out states
-    that cannot be completed and clamps each state to a normal form, so that
-    the levels stay small.  A start needs neither: it only adds itself to its
-    level.
+    Every k lies in [2, len(fibs) - 2]: fibs is sweep_fibs of the highest.
+    A level maps each of its states to its place, in order of first entry.
+    moves(level, v, s, below) lists, for each state of a level, the places in
+    the level below of the states that placing the value v can leave, with s
+    the sum of the values below v, entering each new one in below.  It leaves
+    out states that cannot be completed and clamps each state to a normal
+    form, so that the levels stay small.  A start needs neither: it only adds
+    itself to its level.
     """
     top = max(k for k, _ in starts)
     entering = [[] for _ in range(top + 1)]
@@ -81,12 +73,12 @@ def _sweep(fibs: list[int], starts: list[tuple], moves) -> list[int]:
     # forward: links[j][p] lists the successors of state p of level top - j by
     # their places one level down, and reads[j] the places of the level's starts
     links, reads = [], []
-    level = _Places()
+    level = {}
     for k in range(top, 1, -1):
-        reads.append([(i, level[state]) for i, state in entering[k]])
-        below = _Places()
+        reads.append([(i, level.setdefault(state, len(level))) for i, state in entering[k]])
+        below = {}
         # F_k, and F_{k-1} + ... + F_2
-        links.append(moves(level, fibs[k], fibs[k + 1] - 2, below.__getitem__))
+        links.append(moves(level, fibs[k], fibs[k + 1] - 2, below))
         level = below
     # backward: level 1 has placed every value, so moves left only complete states there
     counts = [1] * len(level)
@@ -98,29 +90,30 @@ def _sweep(fibs: list[int], starts: list[tuple], moves) -> list[int]:
     return out
 
 
-def _subset_moves(level, v, s, place):
-    return [[place(u) for u in (t, t - v) if 0 <= u <= s] for t in level]
+def _subset_moves(level, v, s, below):
+    return [[below.setdefault(u, len(below)) for u in (t, t - v) if 0 <= u <= s] for t in level]
 
 
-def _pair_moves(level, v, s, place):
+def _pair_moves(level, v, s, below):
     # Each move leaves (e, g) with e >= 0, kept when e <= s and g >= e, since
     # the rest of X lies in [e, s], and clamped to (e, min(g, s)).  The four
     # moves are written out: this loop is most of a sweep's time.
+    place = below.setdefault
     out = []
     for d, h in level:  # d >= 0
         nxt = []
         if d <= s and h >= d:  # in neither set
-            nxt.append(place((d, h if h < s else s)))
+            nxt.append(place((d, h if h < s else s), len(below)))
             g = h - v
             if g >= d:  # in both
-                nxt.append(place((d, g if g < s else s)))
+                nxt.append(place((d, g if g < s else s), len(below)))
         e = d + v  # in Y
         if e <= s and h >= e:
-            nxt.append(place((e, h if h < s else s)))
+            nxt.append(place((e, h if h < s else s), len(below)))
         # in X: d - v, or its mirror image when that is negative
         e, g = (d - v, h - v) if d >= v else (v - d, h - d)
         if e <= s and g >= e:
-            nxt.append(place((e, g if g < s else s)))
+            nxt.append(place((e, g if g < s else s), len(below)))
         out.append(nxt)
     return out
 
@@ -129,7 +122,7 @@ def pair_completions(fibs: list[int], starts: list[tuple[int, tuple[int, int]]])
     """For each start (k, (d, h)) with d >= 0: the pairs (X, Y) of subsets of
     {F_2, ..., F_k} with sum(X) - sum(Y) = d and sum(X) <= h.
 
-    fibs is fib_prefix of the highest k.  A count with d < 0 is the one of
+    fibs is sweep_fibs of the highest k.  A count with d < 0 is the one of
     its mirror image (-d, h - d).
     """
     if any(d < 0 for _, (d, _) in starts):
@@ -139,11 +132,11 @@ def pair_completions(fibs: list[int], starts: list[tuple[int, tuple[int, int]]])
 
 def fib_partition_counts(m_max: int) -> list[int]:
     """R(F_m) for 2 <= m <= m_max: entry i is R(F_{i+2})."""
-    fibs = fib_prefix(m_max)
+    fibs = sweep_fibs(m_max)
     return _sweep(fibs, [(k, fibs[k]) for k in range(2, m_max + 1)], _subset_moves)
 
 
 def fib_pair_counts(m_max: int) -> list[int]:
     """V(F_m) for 2 <= m <= m_max: entry i is V(F_{i+2})."""
-    fibs = fib_prefix(m_max)
+    fibs = sweep_fibs(m_max)
     return pair_completions(fibs, [(k, (0, fibs[k])) for k in range(2, m_max + 1)])

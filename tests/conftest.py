@@ -3,7 +3,7 @@ import tracemalloc
 import pytest
 
 from fibvar.closed_form import solve_closed_form
-from fibvar.fibonacci import fib
+from fibvar.fibonacci import fib_list
 from fibvar.moments import moment_table
 from fibvar.partitions import r_table
 from table_reference import MAX_TABLE_INDEX, fib_moment_series
@@ -44,7 +44,7 @@ def series_f39():
 
 @pytest.fixture(scope="session")
 def moments_f16():
-    return moment_table(fib(16))
+    return moment_table(fib_list(16)[16])
 
 
 @pytest.fixture(scope="session")

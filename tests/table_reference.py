@@ -5,9 +5,9 @@ table up to F_m_max (partitions.r_table), so it is independent of the sweep
 and of the five-term recurrence that the package uses for these values.  The
 tests compare both against it up to F_39, the last checkpoint whose table
 fits MAX_TABLE_ENTRIES; check_table_index refuses one past that from m alone,
-before F_m is formed.  Its peak is the table's own 8 bytes per entry: R(F_m)
-is read off the table, which is then squared in place and summed block by
-block between checkpoints.
+before any table is built.  Its peak is the table's own 8 bytes per entry:
+R(F_m) is read off the table, which is then squared in place and summed
+block by block between checkpoints.
 """
 
 from dataclasses import dataclass
@@ -15,15 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from fibvar.errors import BudgetError
-from fibvar.fibonacci import distinct_fib_upto, fib
+from fibvar.fibonacci import fib_list
 from fibvar.partitions import MAX_TABLE_ENTRIES, r_table
 
+F = fib_list(60)
+
 # the largest m whose table R(0..F_m) fits: F_39 < 10**8 <= F_40
-MAX_TABLE_INDEX = len(distinct_fib_upto(MAX_TABLE_ENTRIES - 1)) + 1
+MAX_TABLE_INDEX = max(m for m, f in enumerate(F) if f < MAX_TABLE_ENTRIES)
 
 
 def check_table_index(m: int) -> None:
-    """Refuse a table up to F_m past the cap from m alone, before F_m is formed."""
+    """Refuse a table up to F_m past the cap from m alone, before it is built."""
     if m > MAX_TABLE_INDEX:
         raise BudgetError(
             f"a table up to F_{m} exceeds the budget of {MAX_TABLE_ENTRIES} entries "
@@ -73,8 +75,8 @@ def fib_moment_series(m_max: int) -> FibMomentSeries:
     if m_max < 2:
         raise ValueError(f"m_max must be >= 2, got {m_max}")
     check_table_index(m_max)
-    table = r_table(fib(m_max))
-    checkpoints = distinct_fib_upto(table.h_max)  # F_2 .. F_m_max
+    table = r_table(F[m_max])
+    checkpoints = F[2 : m_max + 1]
     squares = table.r
     counts = squares[checkpoints].tolist()
     np.multiply(squares, squares, out=squares)

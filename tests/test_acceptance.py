@@ -13,10 +13,12 @@ import pytest
 from fibvar.analysis import exponent_report, write_figure_csv
 from fibvar.casework import verify_cases
 from fibvar.closed_form import closed_form_v, embed_coefficients, solve_closed_form
-from fibvar.fibonacci import distinct_fib_upto, fib
+from fibvar.fibonacci import fib_list
 from fibvar.moments import moment_table, recurrence_step, verify_lemma
 from fibvar.partitions import check_carlitz, check_sqrt_bound
 from table_reference import fib_moment_series
+
+F = fib_list(30)
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -33,10 +35,10 @@ def _report(criterion: str, elapsed: float, budget: float) -> None:
 
 def test_criterion_01_initial_data():
     best = min(
-        _timed(lambda: tuple(moment_table(8).v_at(fib(m)) for m in range(2, 7)))[0]
+        _timed(lambda: tuple(moment_table(8).v_at(F[m]) for m in range(2, 7)))[0]
         for _ in range(3)
     )
-    values = tuple(moment_table(8).v_at(fib(m)) for m in range(2, 7))
+    values = tuple(moment_table(8).v_at(F[m]) for m in range(2, 7))
     assert values == (2, 3, 7, 12, 26)
     _report("1 (initial data)", best, 0.001)
 
@@ -82,7 +84,7 @@ def test_criterion_04_carlitz():
 def test_criterion_05_sqrt_bound():
     elapsed, result = _timed(lambda: check_sqrt_bound(10**6))
     assert result.passed
-    expected = sorted(f * f - 1 for f in distinct_fib_upto(1000) if f * f - 1 <= 10**6)
+    expected = [f * f - 1 for f in F[2:] if f * f - 1 <= 10**6]
     assert result.equality_positions == expected
     assert result.equality_positions[-1] == 974168  # 987^2 - 1
     _report("5 (sqrt bound to 1e6)", elapsed, 10.0)
@@ -127,7 +129,7 @@ def test_criterion_07_coefficient_vector():
 
 def test_criterion_08_asymptotics():
     def run():
-        v30 = moment_table(fib(30)).v_at(fib(30))
+        v30 = moment_table(F[30]).v_at(F[30])
         sol = solve_closed_form(precision_digits=40)
         with localcontext() as ctx:
             ctx.prec = 50

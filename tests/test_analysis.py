@@ -20,8 +20,10 @@ from fibvar.analysis import (
 )
 from fibvar.errors import BudgetError
 from fibvar.exact import isolate_real_roots
-from fibvar.fibonacci import fib
+from fibvar.fibonacci import fib_list
 from fibvar.moments import moment_table
+
+F = fib_list(25)
 
 
 def test_exponent_values():
@@ -277,9 +279,9 @@ def test_csv_determinism():
 def test_norm_main_band_at_fib_checkpoints():
     # oracle-calibrated: V(F_m) * F_m^(-exponent_main) settles near 0.336
     c = exponent_report(30)
-    moments = moment_table(fib(25))
+    moments = moment_table(F[25])
     for m in range(10, 26):
-        h = fib(m)
+        h = F[m]
         norm = moments.v_at(h) * float(h) ** -float(c.exponent_main)
         assert 0.32 < norm < 0.36, (m, norm)
 
@@ -287,9 +289,9 @@ def test_norm_main_band_at_fib_checkpoints():
 def test_norm_cs_growth_at_fib_checkpoints():
     # oracle-calibrated: strictly increasing from m = 13 on (it dips before)
     c = exponent_report(30)
-    moments = moment_table(fib(25))
+    moments = moment_table(F[25])
     norms = {
-        m: moments.v_at(fib(m)) * float(fib(m)) ** (1 - 2 * float(c.lam))
+        m: moments.v_at(F[m]) * float(F[m]) ** (1 - 2 * float(c.lam))
         for m in range(12, 26)
     }
     assert norms[12] > norms[13]

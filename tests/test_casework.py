@@ -14,17 +14,19 @@ from fibvar.casework import (
 )
 from fibvar.closed_form import closed_form_v
 from fibvar.errors import BudgetError
-from fibvar.fibonacci import distinct_fib_upto, fib
+from fibvar.fibonacci import fib_list
 from fibvar.moments import v_at_fib
 from fibvar.sweep import MAX_SWEEP_INDEX
 from table_reference import MAX_TABLE_INDEX, fib_moment_series
+
+F = fib_list(40)
 
 
 def subset_buckets(top, lo, hi):
     """Reference enumeration in plain Python: sum in (lo, hi] -> max part -> count."""
     buckets = defaultdict(Counter)
     sums = [0]
-    for v in distinct_fib_upto(top):
+    for v in (f for f in F[2:] if f <= top):
         grown = [s + v for s in sums if s + v <= hi]
         for t in grown:
             if t > lo:
@@ -35,7 +37,7 @@ def subset_buckets(top, lo, hi):
 
 def reference_breakdown(m):
     """(total, case1..case5, w) tallied pair by pair from subset_buckets."""
-    f_m, f_m1, f_m2 = fib(m), fib(m - 1), fib(m - 2)
+    f_m, f_m1, f_m2 = F[m], F[m - 1], F[m - 2]
     cases = {
         (f_m, f_m): 1,
         (f_m1, f_m1): 2,
@@ -49,7 +51,7 @@ def reference_breakdown(m):
     for by_max in subset_buckets(f_m, f_m1, f_m).values():
         for (mx, cx), (my, cy) in product(by_max.items(), repeat=2):
             tallies[cases[mx, my]] += cx * cy
-    w = sum(c[f_m2] * c[fib(m - 3)] for c in subset_buckets(f_m2, fib(m - 3), f_m1).values())
+    w = sum(c[f_m2] * c[F[m - 3]] for c in subset_buckets(f_m2, F[m - 3], f_m1).values())
     return (sum(tallies.values()), *(tallies[k] for k in range(1, 6)), w)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 import sympy as sp
 
-from fibvar import analysis, cli
+from fibvar import analysis, cli, fibonacci
 from fibvar.closed_form import closed_form_v
 from fibvar.moments import LemmaRow
 
@@ -35,6 +35,25 @@ def test_zeckendorf_subcommand(capsys):
     code, out, _ = run_cli(capsys, "zeckendorf", "--n", "100")
     assert code == 0
     assert out.strip() == "100 = F_11 + F_6 + F_4 = 89 + 8 + 3"
+
+
+def test_zeckendorf_builds_the_fibonacci_list_once(capsys, monkeypatch):
+    # the command prints the values zeckendorf found; the digest was taken from
+    # the version that built a second list for them
+    build, calls = fibonacci.fib_list, []
+
+    def counted(k_max):
+        calls.append(k_max)
+        return build(k_max)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fibvar") and hasattr(module, "fib_list"):
+            monkeypatch.setattr(module, "fib_list", counted)
+    code, out, _ = run_cli(capsys, "zeckendorf", "--n", "9" * 1000)
+    assert code == 0 and len(calls) == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fd8ede26fcb92d7b6b9d1160ffdcbfc7094af8138956be8fb3b19d84d165e171"
+    )
 
 
 def test_zeckendorf_rejects_zero(capsys):

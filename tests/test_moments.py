@@ -4,12 +4,13 @@ import pytest
 
 from fibvar.closed_form import closed_form_v
 from fibvar.errors import BudgetError
-from fibvar.fibonacci import fib
+from fibvar.fibonacci import fib_list
 from fibvar.moments import moment_table, v_at_fib, verify_lemma
 from fibvar.partitions import r_table
 from fibvar.sweep import MAX_SWEEP_INDEX
 from table_reference import FibMomentSeries, fib_moment_series
 
+F = fib_list(30)
 INITIAL = (2, 3, 7, 12, 26)  # V(F_2)..V(F_6)
 
 # frozen from the exhaustive-enumeration oracle, cross-checked by the recurrence
@@ -47,19 +48,19 @@ def test_moment_table_is_the_prefix_sums_of_r():
 
 
 def test_fib_moment_series_peak_memory_is_r_alone(peak_bytes):
-    assert peak_bytes(lambda: fib_moment_series(30)) <= 1.05 * 8 * (fib(30) + 1)
+    assert peak_bytes(lambda: fib_moment_series(30)) <= 1.05 * 8 * (F[30] + 1)
 
 
 def test_fib_moment_series_matches_moment_table():
-    series, table = fib_moment_series(30), moment_table(fib(30))
+    series, table = fib_moment_series(30), moment_table(F[30])
     for m in range(2, 31):
-        assert series.v(m) == table.v_at(fib(m)), m
+        assert series.v(m) == table.v_at(F[m]), m
 
 
 def test_fib_moment_series_counts_are_carlitz():
-    series, table = fib_moment_series(30), r_table(fib(30))
+    series, table = fib_moment_series(30), r_table(F[30])
     for m in range(2, 31):
-        assert series.r(m) == table.count(fib(m)) == m // 2, m
+        assert series.r(m) == table.r[F[m]] == m // 2, m
 
 
 def test_moment_arrays_strictly_increase():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibvar.errors import BudgetError
-from fibvar.fibonacci import distinct_fib_upto, fib
+from fibvar.fibonacci import fib_list
 from fibvar.partitions import (
     MAX_TABLE_ENTRIES,
     SQRT_CHUNK,
@@ -20,13 +20,19 @@ from fibvar.partitions import (
 from fibvar.sweep import MAX_SWEEP_INDEX
 from table_reference import MAX_TABLE_INDEX, fib_moment_series
 
+F = fib_list(40)
 FIB_K_MAX = 33  # F_33 = 3524578
+
+
+def values_upto(h):
+    """The distinct Fibonacci values <= h, F_2 on, increasing."""
+    return [f for f in F[2:] if f <= h]
 
 
 def brute_force_counts(h_max):
     """Independent oracle: enumerate every subset of distinct values <= h_max."""
     sums = [0]
-    for v in distinct_fib_upto(h_max):
+    for v in values_upto(h_max):
         sums += [s + v for s in sums]
     cnt = Counter(s for s in sums if s <= h_max)
     return [cnt[n] for n in range(h_max + 1)]
@@ -40,14 +46,14 @@ def subset_dp_counts(h_max):
     """
     r = np.zeros(h_max + 1, dtype=np.int64)
     r[0] = 1
-    for v in distinct_fib_upto(h_max):
+    for v in values_upto(h_max):
         r[v:] += r[:-v]
     return r
 
 
 @pytest.fixture(scope="module")
 def dp_past_f33():
-    return subset_dp_counts(fib(FIB_K_MAX) + 1)
+    return subset_dp_counts(F[FIB_K_MAX] + 1)
 
 
 def test_small_table_matches_enumeration():
@@ -66,7 +72,7 @@ def test_block_table_matches_subset_dp_to_3000():
 
 def test_block_table_matches_subset_dp_around_fibonacci_numbers(dp_past_f33):
     for k in range(1, FIB_K_MAX + 1):
-        for h in range(max(fib(k) - 2, 0), fib(k) + 2):
+        for h in range(max(F[k] - 2, 0), F[k] + 2):
             assert np.array_equal(r_table(h).r, dp_past_f33[: h + 1]), (k, h)
 
 
@@ -103,22 +109,22 @@ def test_count_table_invariants(counts_2000):
 
 
 def test_count_rejects_out_of_range(counts_2000):
-    assert counts_2000.count(-3) == 0
-    with pytest.raises(ValueError):
-        counts_2000.count(2001)
+    assert r(-3) == 0
+    with pytest.raises(IndexError):
+        counts_2000.r[2001]
 
 
 def test_r_fib_minus_one_is_one():
-    table = r_table(fib(30))
+    table = r_table(F[30])
     for m in range(2, 31):
-        assert table.count(fib(m) - 1) == 1
+        assert table.r[F[m] - 1] == 1
 
 
 def test_r_at_fib_squared_minus_one():
     # R(F_m^2 - 1) = F_m, the extremal case of the sqrt bound
-    table = r_table(fib(18) ** 2 - 1)
+    table = r_table(F[18] ** 2 - 1)
     for m in range(2, 19):
-        assert table.count(fib(m) ** 2 - 1) == fib(m)
+        assert table.r[F[m] ** 2 - 1] == F[m]
 
 
 def test_check_carlitz_rows():
@@ -155,7 +161,7 @@ def sqrt_bound_reference(h_max):
     squares = table.r * table.r
     bound_ok = bool(np.all(squares <= n_plus_1))
     equality = np.flatnonzero(squares == n_plus_1)
-    expected = sorted({f * f - 1 for f in distinct_fib_upto(h_max + 1) if f * f - 1 <= h_max})
+    expected = [f * f - 1 for f in F[2:] if f * f - 1 <= h_max]
     positions = [int(n) for n in equality]
     return bound_ok and positions == expected, positions
 
@@ -174,7 +180,7 @@ def test_check_sqrt_bound_matches_full_arrays(h_max):
 
 _SCREEN_EDGES = sorted(
     {0, 1, 2, 3, SQRT_CHUNK - 1, SQRT_CHUNK, SQRT_CHUNK + 1, 10**6}
-    | {fib(m) ** 2 - 1 + d for m in range(3, 13) for d in (-1, 0, 1)}
+    | {F[m] ** 2 - 1 + d for m in range(3, 13) for d in (-1, 0, 1)}
 )
 
 
@@ -241,7 +247,7 @@ def test_check_sqrt_bound_fails_on_a_wrong_table(monkeypatch, n, value):
 def test_budget_errors():
     with pytest.raises(BudgetError):
         r_table(10**8)
-    assert MAX_TABLE_INDEX == 39 and fib(39) < MAX_TABLE_ENTRIES <= fib(40)
+    assert MAX_TABLE_INDEX == 39 and F[39] < MAX_TABLE_ENTRIES <= F[40]
     with pytest.raises(BudgetError, match="F_40"):
         fib_moment_series(40)
     with pytest.raises(BudgetError, match=f"F_{MAX_SWEEP_INDEX + 1}"):

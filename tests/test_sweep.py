@@ -12,8 +12,8 @@ from fibvar.sweep import (
     MAX_SWEEP_INDEX,
     fib_pair_counts,
     fib_partition_counts,
-    fib_prefix,
     pair_completions,
+    sweep_fibs,
 )
 from table_reference import MAX_TABLE_INDEX
 
@@ -71,7 +71,7 @@ def test_sweep_peak_memory(peak_bytes):
 
 def test_pair_completions_count_every_start_at_its_own_level():
     # against all pairs of subsets of F_2..F_k, for states the clamp would change or drop
-    fibs = fib_prefix(9)
+    fibs = sweep_fibs(9)
     starts = [(k, (d, h)) for k in range(2, 10) for d in range(0, 70, 3) for h in range(-2, 90, 7)]
     got = pair_completions(fibs, starts)
     for (k, (d, h)), count in zip(starts, got):
@@ -83,7 +83,7 @@ def test_pair_completions_count_every_start_at_its_own_level():
 
 
 def test_pair_completions_reads_a_start_given_twice():
-    fibs = fib_prefix(12)
+    fibs = sweep_fibs(12)
     assert pair_completions(fibs, [(12, (0, 144)), (5, (1, 3)), (12, (0, 144))]) == [
         fib_pair_counts(12)[-1],
         *pair_completions(fibs, [(5, (1, 3))]),
@@ -93,4 +93,4 @@ def test_pair_completions_reads_a_start_given_twice():
 
 def test_pair_completions_refuse_a_negative_difference():
     with pytest.raises(ValueError, match="d >= 0"):
-        pair_completions(fib_prefix(5), [(5, (-1, 3))])
+        pair_completions(sweep_fibs(5), [(5, (-1, 3))])

@@ -11,8 +11,10 @@ from dataclasses import dataclass
 
 
 def fib_list(k_max: int) -> list[int]:
-    """F_0, F_1, ..., F_{k_max}: entry k is F_k."""
-    fibs = [0, 1][: k_max + 1]
+    """F_0, F_1, ..., F_{k_max}: entry k is F_k.  Raises ValueError for k_max < 1."""
+    if k_max < 1:
+        raise ValueError(f"the Fibonacci list needs k_max >= 1, got {k_max}")
+    fibs = [0, 1]
     while len(fibs) <= k_max:
         fibs.append(fibs[-1] + fibs[-2])
     return fibs

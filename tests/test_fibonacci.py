@@ -17,10 +17,17 @@ def test_fib_base_values():
 
 def test_fib_list_index_convention():
     # entry k is F_k, from F_0 = 0: fib_list(k) has k + 1 entries and ends in F_k
-    for k in range(0, 61):
+    for k in range(1, 61):
         assert fib_list(k) == F[: k + 1]
     for k in range(2, 61):
         assert F[k] == F[k - 1] + F[k - 2]
+
+
+@pytest.mark.parametrize("m", [0, -1, -10])
+def test_fib_rejects_bad_index(m):
+    # the list always holds the seeds F_0 and F_1, so k_max < 1 is refused
+    with pytest.raises(ValueError):
+        fib_list(m)
 
 
 def test_distinct_values_sum_identity():
@@ -31,6 +38,7 @@ def test_distinct_values_sum_identity():
 
 def test_fib_list_distinct_values():
     # 1 is F_1 and F_2; the distinct values are the entries from F_2 on
+    assert fib_list(1) == [0, 1]
     assert fib_list(2) == [0, 1, 1]
     assert fib_list(6)[2:] == [1, 2, 3, 5, 8]
     assert fib_list(7)[2:] == [1, 2, 3, 5, 8, 13]

@@ -23,8 +23,8 @@ moments.moment_table peaks at 16 bytes per entry, because R is squared and
 summed in place to become V beside A.
 
 check_carlitz needs R only at the checkpoints F_m, and takes it from
-sweep.fib_partition_counts, which holds a few states per Fibonacci value
-instead of a table, so it reaches m = sweep.MAX_SWEEP_INDEX.
+sweep.fib_partition_counts, which holds a few pair states per Fibonacci
+value instead of a table, so it reaches m = sweep.MAX_SWEEP_INDEX.
 """
 
 from dataclasses import dataclass
@@ -94,8 +94,8 @@ class CarlitzRow(NamedTuple):
 def check_carlitz(m_max: int) -> list[CarlitzRow]:
     """Check Carlitz's identity R(F_m) = floor(m/2) for 2 <= m <= m_max.
 
-    R(F_m) comes from sweep.fib_partition_counts, not from a table, so m_max
-    is capped by sweep.MAX_SWEEP_INDEX.
+    R(F_m) comes from the pair sweep of sweep.fib_partition_counts, its second
+    subset forced empty, not from a table, so m_max is capped by MAX_SWEEP_INDEX.
     """
     counts = fib_partition_counts(m_max)
     return [CarlitzRow(m, counts[m - 2], m // 2) for m in range(2, m_max + 1)]

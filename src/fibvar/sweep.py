@@ -1,4 +1,4 @@
-"""Counts of Fibonacci subsets and pairs from one sweep over the values.
+"""Counts of Fibonacci subset pairs from one sweep over the values.
 
 A count here is a number of ways to place the distinct Fibonacci values F_k,
 F_{k-1}, ..., F_2 one at a time, from the top, so that the choices add up as
@@ -14,9 +14,6 @@ from the highest start down builds each level once for every start.  A
 forward pass links every state to its successors one level down; a backward
 pass sums completion counts from F_2 up and reads the count of each start.
 
-- fib_partition_counts: R(F_m), the subsets of values that sum to F_m.  A
-  state is the target t still to reach; each value is left out or taken,
-  and t must stay in [0, S].  The start for m is t = F_m at level m.
 - pair_completions: ordered pairs (X, Y) of subsets with sum(X) = sum(Y).  A
   state is (d, h): the rest of X must exceed the rest of Y by d, and the rest
   of X may sum to at most h.  Each value goes in neither set, in X, in Y or
@@ -24,6 +21,8 @@ pass sums completion counts from F_2 up and reads the count of each start.
   d < 0 is stored as that mirror image, and every state, starts included,
   has d >= 0.  Then the rest of X lies in [d, S], so h is clamped to
   min(h, S) and the state dropped when d > S or h < d.
+- fib_partition_counts: R(F_m), the pairs with sum(X) - sum(Y) = F_m and
+  sum(X) <= F_m, so Y is empty; the start for m is (F_m, F_m) at level m.
 - fib_pair_counts: V(F_m) = sum_{n<=F_m} R(n)^2, the pairs with sum(X) =
   sum(Y) <= F_m; the start for m is (0, F_m) at level m.  fibvar.casework
   enters pair states below forced top values instead.
@@ -54,48 +53,9 @@ def sweep_fibs(m_max: int) -> list[int]:
     return fib_list(m_max + 1)
 
 
-def _sweep(fibs: list[int], starts: list[tuple], moves) -> list[int]:
-    """The completion count of each start (k, state), in order.
-
-    Every k lies in [2, len(fibs) - 2]: fibs is sweep_fibs of the highest.
-    A level maps each of its states to its place, in order of first entry.
-    moves(level, v, s, below) lists, for each state of a level, the places in
-    the level below of the states that placing the value v can leave, with s
-    the sum of the values below v, entering each new one in below.  It leaves
-    out states that cannot be completed and clamps each state to a normal
-    form, so that the levels stay small.  A start needs neither: it only adds
-    itself to its level.
-    """
-    top = max(k for k, _ in starts)
-    entering = [[] for _ in range(top + 1)]
-    for i, (k, state) in enumerate(starts):
-        entering[k].append((i, state))
-    # forward: links[j][p] lists the successors of state p of level top - j by
-    # their places one level down, and reads[j] the places of the level's starts
-    links, reads = [], []
-    level = {}
-    for k in range(top, 1, -1):
-        reads.append([(i, level.setdefault(state, len(level))) for i, state in entering[k]])
-        below = {}
-        # F_k, and F_{k-1} + ... + F_2
-        links.append(moves(level, fibs[k], fibs[k + 1] - 2, below))
-        level = below
-    # backward: level 1 has placed every value, so moves left only complete states there
-    counts = [1] * len(level)
-    out = [0] * len(starts)
-    for succ, read in zip(reversed(links), reversed(reads)):
-        counts = [sum(map(counts.__getitem__, nxt)) for nxt in succ]
-        for i, place in read:
-            out[i] = counts[place]
-    return out
-
-
-def _subset_moves(level, v, s, below):
-    return [[below.setdefault(u, len(below)) for u in (t, t - v) if 0 <= u <= s] for t in level]
-
-
 def _pair_moves(level, v, s, below):
-    # Each move leaves (e, g) with e >= 0, kept when e <= s and g >= e, since
+    # Lists, per state of a level, the places in below of the states that
+    # placing v leaves: (e, g) with e >= 0, kept when e <= s and g >= e, since
     # the rest of X lies in [e, s], and clamped to (e, min(g, s)).  The four
     # moves are written out: this loop is most of a sweep's time.
     place = below.setdefault
@@ -119,21 +79,44 @@ def _pair_moves(level, v, s, below):
 
 
 def pair_completions(fibs: list[int], starts: list[tuple[int, tuple[int, int]]]) -> list[int]:
-    """For each start (k, (d, h)) with d >= 0: the pairs (X, Y) of subsets of
-    {F_2, ..., F_k} with sum(X) - sum(Y) = d and sum(X) <= h.
+    """For each start (k, (d, h)) with d >= 0, in order: the pairs (X, Y) of
+    subsets of {F_2, ..., F_k} with sum(X) - sum(Y) = d and sum(X) <= h.
 
-    fibs is sweep_fibs of the highest k.  A count with d < 0 is the one of
-    its mirror image (-d, h - d).
+    Every k lies in [2, len(fibs) - 2]: fibs is sweep_fibs of the highest.
+    A count with d < 0 is the one of its mirror image (-d, h - d).  A start
+    is neither pruned nor clamped as the moves are: it only enters its level.
     """
     if any(d < 0 for _, (d, _) in starts):
         raise ValueError("a pair start needs d >= 0: swap X and Y")
-    return _sweep(fibs, starts, _pair_moves)
+    top = max(k for k, _ in starts)
+    entering = [[] for _ in range(top + 1)]
+    for i, (k, state) in enumerate(starts):
+        entering[k].append((i, state))
+    # forward: a level maps each of its states to its place, in order of first
+    # entry; links[j][p] lists the successors of state p of level top - j by
+    # their places one level down, and reads[j] the places of the level's starts
+    links, reads = [], []
+    level = {}
+    for k in range(top, 1, -1):
+        reads.append([(i, level.setdefault(state, len(level))) for i, state in entering[k]])
+        below = {}
+        # F_k, and F_{k-1} + ... + F_2
+        links.append(_pair_moves(level, fibs[k], fibs[k + 1] - 2, below))
+        level = below
+    # backward: level 1 has placed every value, so moves left only complete states there
+    counts = [1] * len(level)
+    out = [0] * len(starts)
+    for succ, read in zip(reversed(links), reversed(reads)):
+        counts = [sum(map(counts.__getitem__, nxt)) for nxt in succ]
+        for i, place in read:
+            out[i] = counts[place]
+    return out
 
 
 def fib_partition_counts(m_max: int) -> list[int]:
     """R(F_m) for 2 <= m <= m_max: entry i is R(F_{i+2})."""
     fibs = sweep_fibs(m_max)
-    return _sweep(fibs, [(k, fibs[k]) for k in range(2, m_max + 1)], _subset_moves)
+    return pair_completions(fibs, [(k, (fibs[k], fibs[k])) for k in range(2, m_max + 1)])
 
 
 def fib_pair_counts(m_max: int) -> list[int]:

@@ -70,9 +70,11 @@ def test_sweep_peak_memory(peak_bytes):
 
 
 def test_pair_completions_count_every_start_at_its_own_level():
-    # against all pairs of subsets of F_2..F_k, for states the clamp would change or drop
+    # against all pairs of subsets of F_2..F_k, for states the clamp would change or drop,
+    # and for the diagonal (n, n) of fib_partition_counts at every n up to F_{k+2} - 2
     fibs = sweep_fibs(9)
     starts = [(k, (d, h)) for k in range(2, 10) for d in range(0, 70, 3) for h in range(-2, 90, 7)]
+    starts += [(k, (n, n)) for k in range(2, 10) for n in range(fibs[k] + fibs[k + 1] - 1)]
     got = pair_completions(fibs, starts)
     for (k, (d, h)), count in zip(starts, got):
         sums = Counter([0])

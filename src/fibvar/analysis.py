@@ -188,8 +188,10 @@ def write_csv(out: TextIO, header: str, columns) -> None:
 
     A column is a range or a numpy array of integers or floats, all of one
     length; integers print in decimal, floats by the 12-digit rule above.
-    Each CSV_CHUNK_ROWS rows become one row-major uint32 record matrix of quads
-    from the tables above, written at once as its bytes with every NUL deleted.
+    Each CSV_CHUNK_ROWS rows, every column copied contiguous first (a column
+    view of a wider table is strided), become one row-major uint32 record
+    matrix of quads from the tables above, written at once as its bytes with
+    every NUL deleted.
     """
     n_rows = len(columns[0])
     if any(len(c) != n_rows for c in columns):
@@ -199,7 +201,8 @@ def write_csv(out: TextIO, header: str, columns) -> None:
         quads = []
         for column, sep in zip(columns, [","] * (len(columns) - 1) + ["\n"]):
             part = column[lo : lo + CSV_CHUNK_ROWS]
-            part = np.arange(part.start, part.stop, part.step) if isinstance(part, range) else part
+            part = (np.arange(part.start, part.stop, part.step) if isinstance(part, range)
+                    else np.ascontiguousarray(part))
             is_float = part.dtype.kind == "f"
             quads += _float_quads(part.astype(float), sep) if is_float else _int_quads(part, sep)
         out.write(np.stack(np.broadcast_arrays(*quads)).T.tobytes().translate(None, b"\0").decode())
@@ -210,7 +213,8 @@ def write_figure_csv(h_max: int, out: TextIO) -> None:
     if h_max < 1:
         raise ValueError(f"h_max must be >= 1, got {h_max}")
     constants = exponent_report(30)
-    v = moment_table(h_max).v[1:]  # rows run H = 1..h_max
+    # rows run H = 1..h_max; a copy lets A go, where a view of V would keep both columns
+    v = moment_table(h_max).v[1:].copy()
     log_h = np.log(np.arange(1, h_max + 1, dtype=np.float64))
     v_float = v.astype(np.float64)
     norm_cs = v_float * np.exp(-float(constants.exponent_cs) * log_h)

@@ -19,13 +19,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .partitions import r_table
+from .partitions import _fill_r, _table_entries
 from .sweep import fib_pair_counts, pair_completions, sweep_fibs
 
 
 @dataclass(frozen=True)
 class MomentTable:
-    """Prefix sums a[n] = A(n), v[n] = V(n) for 0 <= n <= h_max."""
+    """Prefix sums a[n] = A(n), v[n] = V(n) for 0 <= n <= h_max.
+
+    a and v are the two column views of one (h_max+1)x2 int64 buffer, so a
+    caller that keeps one of them keeps both.
+    """
 
     h_max: int
     a: np.ndarray
@@ -38,12 +42,13 @@ class MomentTable:
 
 
 def moment_table(h_max: int) -> MomentTable:
-    """Build A and V over [0, h_max]; the R table becomes V, 16 bytes per entry."""
-    r = r_table(h_max).r
-    a = np.cumsum(r)
-    np.multiply(r, r, out=r)
-    np.cumsum(r, out=r)
-    return MomentTable(h_max=h_max, a=a, v=r)
+    """Build A and V over [0, h_max], 16 bytes per entry: R fills column 0 of a
+    two-column table, R^2 column 1, and one cumsum down both leaves V beside A."""
+    av = np.empty((_table_entries(h_max), 2), dtype=np.int64)
+    _fill_r(av[:, 0])
+    np.multiply(av[:, 0], av[:, 0], out=av[:, 1])
+    np.cumsum(av, axis=0, out=av)
+    return MomentTable(h_max=h_max, a=av[:, 0], v=av[:, 1])
 
 
 def v_at_fib(m: int) -> int:

@@ -13,14 +13,16 @@ n - F_k, or lies inside {F_2..F_{k-1}}, whose values sum to F_{k+1} - 2,
 and its complement there is a partition of F_{k+1} - 2 - n.  Both arguments
 lie below F_k.
 
-r_table refuses any table of more than MAX_TABLE_ENTRIES entries.  Below
-that cap int64 is exact for the counts and for their moments: R(n)**2 <=
-n+1, so even V(H) = sum_{n<=H} R(n)**2 <= (H+1)(H+2)/2 stays far below
-2**63.  The peak memory of a table of H+1 entries is its own 8 bytes per
-entry, and check_sqrt_bound, which screens it by chunk maxima and squares
-only the chunks the screen cannot clear, adds one chunk.
-moments.moment_table peaks at 16 bytes per entry, because R is squared and
-summed in place to become V beside A.
+_table_entries refuses any table of more than MAX_TABLE_ENTRIES entries
+before anything is allocated, and _fill_r writes the blocks into any 1-D
+int64 view; r_table and moments.moment_table share both.  Below that cap
+int64 is exact for the counts and for their moments: R(n)**2 <= n+1, so
+even V(H) = sum_{n<=H} R(n)**2 <= (H+1)(H+2)/2 stays far below 2**63.  The
+peak memory of a table of H+1 entries is its own 8 bytes per entry, and
+check_sqrt_bound, which screens it by chunk maxima and squares only the
+chunks the screen cannot clear, adds one chunk.  moments.moment_table peaks
+at 16 bytes per entry: R fills one column of a two-column table and its
+square the other, and one prefix pass turns them into A and V side by side.
 
 check_carlitz needs R only at the checkpoints F_m, and takes it from
 sweep.fib_partition_counts, which holds a few pair states per Fibonacci
@@ -47,20 +49,25 @@ class CountTable:
     r: np.ndarray
 
 
-def r_table(h_max: int) -> CountTable:
-    """Tabulate R(0..h_max) one Fibonacci block [F_k, F_{k+1}) at a time.
-
-    Every operand of a block's vector add lies below F_k, so the add writes
-    straight into the table: about log_phi(h_max) numpy calls and no
-    temporary array.
-    """
+def _table_entries(h_max: int) -> int:
+    """h_max + 1, the entries of a table over [0, h_max], refused past the budget."""
     if h_max < 0:
         raise ValueError(f"h_max must be >= 0, got {h_max}")
     if h_max + 1 > MAX_TABLE_ENTRIES:
         raise BudgetError(
             f"table of {h_max + 1} entries exceeds the budget of {MAX_TABLE_ENTRIES}"
         )
-    r = np.zeros(h_max + 1, dtype=np.int64)
+    return h_max + 1
+
+
+def _fill_r(r: np.ndarray) -> None:
+    """Write R(0..len(r)-1) into the 1-D int64 view r, one block [F_k, F_{k+1}) at a time.
+
+    Every operand of a block's vector add lies below F_k, so the add writes
+    straight into r: about log_phi(len(r)) numpy calls and no temporary array.
+    Every entry is written, so r need not be zeroed.
+    """
+    h_max = len(r) - 1
     r[0] = 1
     prev, f = 1, 1  # F_{k-1}, F_k from k = 2
     while f <= h_max:
@@ -71,6 +78,12 @@ def r_table(h_max: int) -> CountTable:
         if f + prev - 1 <= h_max:
             r[f + prev - 1] = r[prev - 1]
         prev, f = f, f + prev
+
+
+def r_table(h_max: int) -> CountTable:
+    """Tabulate R(0..h_max) into one contiguous int64 array."""
+    r = np.zeros(_table_entries(h_max), dtype=np.int64)
+    _fill_r(r)
     return CountTable(h_max=h_max, r=r)
 
 

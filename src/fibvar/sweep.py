@@ -82,12 +82,18 @@ def pair_completions(fibs: list[int], starts: list[tuple[int, tuple[int, int]]])
     """For each start (k, (d, h)) with d >= 0, in order: the pairs (X, Y) of
     subsets of {F_2, ..., F_k} with sum(X) - sum(Y) = d and sum(X) <= h.
 
-    Every k lies in [2, len(fibs) - 2]: fibs is sweep_fibs of the highest.
-    A count with d < 0 is the one of its mirror image (-d, h - d).  A start
-    is neither pruned nor clamped as the moves are: it only enters its level.
+    starts is not empty, and every k lies in [2, len(fibs) - 2]: fibs is
+    sweep_fibs of the highest.  A count with d < 0 is the one of its mirror
+    image (-d, h - d).  A start is neither pruned nor clamped as the moves
+    are: it only enters its level.
     """
-    if any(d < 0 for _, (d, _) in starts):
-        raise ValueError("a pair start needs d >= 0: swap X and Y")
+    if not starts:
+        raise ValueError("pair_completions needs at least one start")
+    for k, (d, _) in starts:
+        if d < 0:
+            raise ValueError("a pair start needs d >= 0: swap X and Y")
+        if not 2 <= k <= len(fibs) - 2:
+            raise ValueError(f"a pair start's level k={k} lies outside [2, {len(fibs) - 2}]")
     top = max(k for k, _ in starts)
     entering = [[] for _ in range(top + 1)]
     for i, (k, state) in enumerate(starts):

@@ -41,9 +41,13 @@ def test_v_at_fib_builds_no_table(peak_bytes):
     assert peak_bytes(lambda: v_at_fib(30)) < 2**16
 
 
-def test_moment_table_is_the_prefix_sums_of_r():
-    r = r_table(1000).r
-    mt = moment_table(1000)
+@pytest.mark.parametrize(
+    "h", [0, 1, 2, 3, 1000, 123457, *(F[k] + d for k in (20, 25) for d in (-2, -1, 0))]
+)
+def test_moment_table_is_the_prefix_sums_of_r(h):
+    # every way the strided fill can end: inside a block, on its last entry, past it
+    r = r_table(h).r
+    mt = moment_table(h)
     assert np.array_equal(mt.a, np.cumsum(r)) and np.array_equal(mt.v, np.cumsum(r**2))
 
 

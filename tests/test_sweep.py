@@ -94,5 +94,10 @@ def test_pair_completions_reads_a_start_given_twice():
 
 
 def test_pair_completions_refuse_a_negative_difference():
-    with pytest.raises(ValueError, match="d >= 0"):
-        pair_completions(sweep_fibs(5), [(5, (-1, 3))])
+    # and no start at all, or a level outside [2, len(fibs) - 2]: level 1 would
+    # read 0 for the empty pair's 1 completion, and level 6 would need F_7
+    bad = {"d >= 0": [(5, (-1, 3))], "at least one": [], "k=1 ": [(1, (0, 0))],
+           "k=6 ": [(6, (0, 0))]}
+    for match, starts in bad.items():
+        with pytest.raises(ValueError, match=match):
+            pair_completions(sweep_fibs(5), starts)

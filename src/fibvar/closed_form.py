@@ -52,41 +52,24 @@ def build_trace_system() -> tuple[list[list[Fraction]], list[Fraction]]:
 class ClosedFormSolution:
     """Exact coefficients plus certified numeric roots of the cubic factor.
 
-    roots is sorted by decreasing value: (lambda_1, lambda_5, lambda_2)
-    numerically about (2.4812, 0.6889, -1.1701).
+    The roots come in decreasing order, as isolate_real_roots returns them:
+    (lambda_1, lambda_5, lambda_2), numerically about (2.4812, 0.6889, -1.1701).
     """
 
     c_field: CubicElement
     c3: Fraction
     c4: Fraction
-    roots: tuple[IsolatedRoot, IsolatedRoot, IsolatedRoot] = field(repr=False)
-
-    @property
-    def lambda1(self) -> IsolatedRoot:
-        return self.roots[0]
-
-    @property
-    def lambda5(self) -> IsolatedRoot:
-        return self.roots[1]
-
-    @property
-    def lambda2(self) -> IsolatedRoot:
-        return self.roots[2]
+    lambda1: IsolatedRoot = field(repr=False)
+    lambda5: IsolatedRoot = field(repr=False)
+    lambda2: IsolatedRoot = field(repr=False)
 
 
 def solve_closed_form(precision_digits: int = 30) -> ClosedFormSolution:
     """Solve the trace system exactly and isolate the cubic's roots."""
-    if precision_digits < 1:
-        raise ValueError(f"precision must be >= 1, got {precision_digits}")
     matrix, rhs = build_trace_system()
     g0, g1, g2, c3, c4 = solve_linear_system(matrix, rhs)
     roots = isolate_real_roots(precision_digits)
-    return ClosedFormSolution(
-        c_field=CubicElement(g0, g1, g2),
-        c3=c3,
-        c4=c4,
-        roots=(roots[0], roots[1], roots[2]),
-    )
+    return ClosedFormSolution(CubicElement(g0, g1, g2), c3, c4, *roots)
 
 
 def closed_form_v(m: int, sol: ClosedFormSolution) -> Fraction:
@@ -95,10 +78,9 @@ def closed_form_v(m: int, sol: ClosedFormSolution) -> Fraction:
     Evaluates g0*p_m + g1*p_{m+1} + g2*p_{m+2} + c3 + (-1)^m c4 plus the
     particular part over the rationals, from one binary powering theta^m.
     """
-    if m < 2:
-        raise ValueError(f"closed form defined for m >= 2, got {m}")
+    particular = particular_part(m)  # refuses m < 2, naming m, before any powering
     trace_part = sum(g * p for g, p in zip(sol.c_field.coords(), power_traces(m)))
-    return trace_part + sol.c3 + (-1) ** m * sol.c4 + particular_part(m)
+    return trace_part + sol.c3 + (-1) ** m * sol.c4 + particular
 
 
 def embed_coefficients(

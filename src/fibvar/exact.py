@@ -24,7 +24,8 @@ from typing import Sequence
 
 # x^3 - 2x^2 - 2x + 2, coefficients by ascending degree
 CUBIC_MIN_POLY: tuple[int, int, int, int] = (2, -2, -2, 1)
-CAUCHY_BOUND = 3  # 1 + max |coefficient| of the monic cubic: every root is in [-3, 3]
+# 1 + max |lower coefficient| of the monic cubic (3): every root is in [-3, 3]
+CAUCHY_BOUND = 1 + max(abs(c) for c in CUBIC_MIN_POLY[:-1])
 
 
 class SingularMatrixError(Exception):
@@ -60,12 +61,15 @@ def power_traces(k: int) -> tuple[int, ...]:
 
     theta^k = a + b*theta + c*theta^2 comes from binary powering in Z[theta],
     squaring as a^2 + 2ab*theta + (2ac + b^2)*theta^2 + (2bc + c^2*theta)*theta^3.
-    The trace is linear, so p_k = 3a + 2b + 8c (p_0, p_1, p_2 = 3, 2, 8 by
-    Newton's identities), and multiplying by theta gives the next two.
+    The trace is linear, so p_k = p_0*a + p_1*b + p_2*c, where Newton's
+    identities give p_0, p_1, p_2 = 3, -c_2, c_2^2 - 2c_1 (3, 2, 8 here) from
+    the cubic's coefficients, and multiplying by theta gives the next two.
     Nothing is kept between calls.
     """
     if k < 0:
         raise ValueError(f"power sum index must be >= 0, got {k}")
+    _, c1, c2, _ = CUBIC_MIN_POLY
+    p0, p1, p2 = 3, -c2, c2 * c2 - 2 * c1
     x = (1, 0, 0)
     for bit in bin(k)[2:]:
         a, b, c = x
@@ -76,7 +80,7 @@ def power_traces(k: int) -> tuple[int, ...]:
         if bit == "1":
             x = _times_theta(x)
     xt = _times_theta(x)
-    return tuple(3 * a + 2 * b + 8 * c for a, b, c in (x, xt, _times_theta(xt)))
+    return tuple(p0 * a + p1 * b + p2 * c for a, b, c in (x, xt, _times_theta(xt)))
 
 
 def solve_linear_system(
@@ -137,12 +141,6 @@ class IsolatedRoot:
     low: Fraction
     high: Fraction
     value: Decimal
-
-
-def _to_decimal(x: Fraction, digits: int) -> Decimal:
-    with localcontext() as ctx:
-        ctx.prec = digits + 2
-        return Decimal(x.numerator) / Decimal(x.denominator)
 
 
 def _scaled_cubic(x: int, e: int) -> int:
@@ -224,5 +222,9 @@ def isolate_real_roots(digits: int) -> list[IsolatedRoot]:
             )
         low = Fraction(CAUCHY_BOUND * n, 1 << e)
         high = Fraction(CAUCHY_BOUND * (n + 1), 1 << e)
-        roots.append(IsolatedRoot(low=low, high=high, value=_to_decimal((low + high) / 2, digits)))
+        mid = (low + high) / 2
+        with localcontext() as ctx:
+            ctx.prec = digits + 2
+            value = Decimal(mid.numerator) / Decimal(mid.denominator)
+        roots.append(IsolatedRoot(low=low, high=high, value=value))
     return roots

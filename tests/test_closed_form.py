@@ -10,6 +10,7 @@ from fibvar.closed_form import (
     closed_form_v,
     embed_coefficients,
     particular_part,
+    solve_closed_form,
 )
 from fibvar.exact import CUBIC_MIN_POLY
 from fibvar.moments import LAG_COEFFS, recurrence_step, v_at_fib
@@ -172,9 +173,15 @@ def test_closed_form_leaves_no_allocation_behind(solution):
     assert held < 10**6
 
 
-def test_closed_form_rejects_small_m(solution):
-    with pytest.raises(ValueError):
-        closed_form_v(1, solution)
+@pytest.mark.parametrize("m", [1, 0, -3])
+def test_closed_form_rejects_small_m(solution, m):
+    with pytest.raises(ValueError, match=f"got {m}$"):
+        closed_form_v(m, solution)
+
+
+def test_solve_rejects_precision_below_one():
+    with pytest.raises(ValueError, match="got 0$"):
+        solve_closed_form(0)
 
 
 def test_asymptotic_ratio_at_25(solution):

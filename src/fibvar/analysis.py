@@ -142,7 +142,7 @@ _SEP = dict(zip("-,\n", np.frombuffer(b"\0\0\0-\0\0\0,\0\0\0\n", np.uint32)))
 def _int_quads(values: np.ndarray, sep: str) -> list:
     """Quads of str(n) + sep for each integer n, most significant first; the top one leads."""
     signed = bool((neg := values < 0).any())
-    mag = values.astype(np.uint64 if signed or values.dtype == np.uint64 else np.int64, copy=False)
+    mag = values.astype(np.uint64 if signed else np.int64, copy=False)
     quads, high = [], np.where(neg, -mag, mag) if signed else mag  # exact for -2^63
     *lower, (top, _) = [(_UNITS[sep], 1000)] + [(_HIGH, 10000)] * (len(str(int(high.max()))) // 4)
     for table, base in lower:
@@ -186,7 +186,7 @@ def _float_quads(values: np.ndarray, sep: str) -> list:
 def write_csv(out: TextIO, header: str, columns) -> None:
     """Write header, then row i as the i-th entries of columns joined by commas.
 
-    A column is a range or a numpy array of integers or floats, all of one
+    A column is a range or a numpy array of int64 or floats, all of one
     length; integers print in decimal, floats by the 12-digit rule above.
     Each CSV_CHUNK_ROWS rows, every column copied contiguous first (a column
     view of a wider table is strided), become one row-major uint32 record

@@ -1,9 +1,9 @@
 """Command-line surface: tables, verifications, the exact solve, and figure data.
 
 Exit codes: 0 success / all checks pass, 1 usage error (argument parsing
-only), 2 a verification failed, 3 a memory or size budget was exceeded, 4
-an internal error (a RuntimeError or ValueError from the library, such as a
-failed root certificate), 141 stdout was closed early.
+only), 2 a verification failed, 3 a memory or size budget was exceeded or
+memory ran out, 4 an internal error (a RuntimeError or ValueError from the
+library, such as a failed root certificate), 141 stdout was closed early.
 """
 
 import argparse
@@ -266,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
         exc.parser.print_usage(sys.stderr)
         print(f"fibvar: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except BudgetError as exc:
+    except (BudgetError, MemoryError) as exc:
         print(f"fibvar: resource budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (RuntimeError, ValueError) as exc:

@@ -94,7 +94,8 @@ def embed_coefficients(
     lam1, lam5, lam2 = (r.value for r in isolate_real_roots(digits + 10))
     with localcontext() as ctx:
         ctx.prec = digits + 10
-        c1, c2, c5 = (sol.c_field.embed(lam) for lam in (lam1, lam2, lam5))
+        g0, g1, g2 = (Decimal(c.numerator) / Decimal(c.denominator) for c in sol.c_field.coords())
+        c1, c2, c5 = (g0 + lam * (g1 + lam * g2) for lam in (lam1, lam2, lam5))
         ctx.prec = digits
         c3, c4 = (Decimal(c.numerator) / Decimal(c.denominator) for c in (sol.c3, sol.c4))
         return +c1, +c2, c3, c4, +c5

@@ -28,7 +28,7 @@ CUBIC_MIN_POLY: tuple[int, int, int, int] = (2, -2, -2, 1)
 CAUCHY_BOUND = 1 + max(abs(c) for c in CUBIC_MIN_POLY[:-1])
 
 
-class SingularMatrixError(Exception):
+class SingularMatrixError(ValueError):
     """The coefficient matrix of a linear system is singular."""
 
 
@@ -42,11 +42,6 @@ class CubicElement:
 
     def coords(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.g0, self.g1, self.g2)
-
-    def embed(self, x: Decimal) -> Decimal:
-        """Evaluate g0 + g1*x + g2*x^2 at a decimal image of theta."""
-        g0, g1, g2 = (Decimal(c.numerator) / Decimal(c.denominator) for c in self.coords())
-        return g0 + x * (g1 + x * g2)
 
 
 def _times_theta(x: tuple[int, ...]) -> tuple[int, ...]:
@@ -110,14 +105,12 @@ def solve_linear_system(
         pivot_row = next((i for i in range(k, n) if aug[i][k] != 0), None)
         if pivot_row is None:
             raise SingularMatrixError(f"no pivot in column {k}")
-        if pivot_row != k:
-            aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
+        aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
         pivot = aug[k][k]
         for i in range(k + 1, n):
             head = aug[i][k]
             for j in range(k + 1, n + 1):
                 aug[i][j] = (pivot * aug[i][j] - head * aug[k][j]) // prev
-            aug[i][k] = 0
         prev = pivot
 
     det = prev

@@ -89,14 +89,13 @@ def pair_completions(fibs: list[int], starts: list[tuple[int, tuple[int, int]]])
     """
     if not starts:
         raise ValueError("pair_completions needs at least one start")
-    for k, (d, _) in starts:
-        if d < 0:
-            raise ValueError("a pair start needs d >= 0: swap X and Y")
-        if not 2 <= k <= len(fibs) - 2:
-            raise ValueError(f"a pair start's level k={k} lies outside [2, {len(fibs) - 2}]")
-    top = max(k for k, _ in starts)
+    top = len(fibs) - 2
     entering = [[] for _ in range(top + 1)]
     for i, (k, state) in enumerate(starts):
+        if state[0] < 0:
+            raise ValueError("a pair start needs d >= 0: swap X and Y")
+        if not 2 <= k <= top:
+            raise ValueError(f"a pair start's level k={k} lies outside [2, {top}]")
         entering[k].append((i, state))
     # forward: a level maps each of its states to its place, in order of first
     # entry; links[j][p] lists the successors of state p of level top - j by

@@ -354,6 +354,26 @@ def test_library_value_error_is_an_internal_error(capsys, monkeypatch):
     assert err.startswith("fibvar: internal error:")
 
 
+def test_singular_solve_is_an_internal_error(capsys, monkeypatch):
+    # SingularMatrixError is a ValueError, so it exits 4 and not with a traceback
+    monkeypatch.setattr(cli.closed_form, "build_trace_system", lambda: ([[0] * 5] * 5, [0] * 5))
+    code, out, err = run_cli(capsys, "closed-form", "--m", "30")
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert err == "fibvar: internal error: no pivot in column 0\n"
+
+
+def test_running_out_of_memory_is_a_budget_error(capsys, monkeypatch):
+    def broken(h_max):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.moments, "moment_table", broken)
+    code, out, err = run_cli(capsys, "moments", "--h-max", "3")
+    assert code == cli.EXIT_BUDGET == 3
+    assert out == ""
+    assert err.startswith("fibvar: resource budget exceeded")
+
+
 def test_closed_stdout_exits_141_without_a_traceback():
     proc = subprocess.Popen(
         [sys.executable, "-m", "fibvar.cli", "table", "--h-max", "1000000"],

@@ -25,10 +25,14 @@ def test_sweep_matches_the_table_at_every_checkpoint_it_allows(series_f39):
 
 
 def test_sweep_of_a_shorter_range_is_a_prefix():
-    # every start enters at its own level, so m_max only adds levels above
+    # every start enters at its own level, so m_max only adds levels above, and
+    # levels above the highest start, where nothing enters, change no count
     for m_max in range(2, 12):
         assert fib_pair_counts(m_max) == fib_pair_counts(12)[: m_max - 1]
         assert fib_partition_counts(m_max) == fib_partition_counts(12)[: m_max - 1]
+    fibs = sweep_fibs(12)
+    starts = [(k, (d, fibs[k])) for k in range(2, 13) for d in (0, 1, fibs[k])]
+    assert pair_completions(sweep_fibs(20), starts) == pair_completions(fibs, starts)
 
 
 def test_sweep_matches_the_closed_form_far_past_the_table(solution):

@@ -109,12 +109,7 @@ def exponent_report(precision: int) -> AsymptoticConstants:
 
 
 def _fixed12(x: float) -> str:
-    s = "%#.12g" % x
-    if s[-1] == "0" or "e" in s:
-        return np.format_float_positional(
-            x, precision=12, unique=False, fractional=False, trim="k"
-        )
-    return s
+    return np.format_float_positional(x, precision=12, unique=False, fractional=False, trim="k")
 
 
 CSV_CHUNK_ROWS = 1 << 13  # rows per record matrix; larger ones leave more heap behind

@@ -106,15 +106,15 @@ def case_breakdown(m: int) -> CaseBreakdown:
             f"{2 * c['mixed']} solutions with maxima (F_{m}, F_{m - 2}) "
             f"outside the five cases at m={m}"
         )
-    classes = c["case1"] + c["case2"] + c["case3"] + 2 * (c["case4"] + c["case5"] + c["mixed"])
-    if c["total"] != classes:
-        raise RuntimeError(
-            f"{c['total'] - classes} solutions with a max part below F_{m - 2} "
-            f"outside the five cases at m={m}"
-        )
-    return CaseBreakdown(
+    bd = CaseBreakdown(
         m, c["total"], c["case1"], c["case2"], c["case3"], 2 * c["case4"], 2 * c["case5"], c["w"]
     )
+    if bd.total != bd.case_sum:
+        raise RuntimeError(
+            f"{bd.total - bd.case_sum} solutions with a max part below F_{m - 2} "
+            f"outside the five cases at m={m}"
+        )
+    return bd
 
 
 class CaseCheck(NamedTuple):
@@ -186,8 +186,6 @@ def verify_case_range(m_lo: int, m_hi: int) -> list[CaseReport]:
     run of the recurrence up to m_hi.  m_hi is refused past
     sweep.MAX_SWEEP_INDEX from m_hi alone, before any count.
     """
-    if m_lo < 7:
-        raise ValueError(f"the five-way case split needs m >= 7, got m_lo={m_lo}")
     if m_hi < m_lo:
         raise ValueError(f"empty range [{m_lo}, {m_hi}]")
     _refuse_past(m_hi, MAX_SWEEP_INDEX)

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success / all checks pass, 1 usage error (argument parsing
 only), 2 a verification failed, 3 a memory or size budget was exceeded or
-memory ran out, 4 an internal error (a RuntimeError or ValueError from the
-library, such as a failed root certificate), 141 stdout was closed early.
+memory ran out (printed as "out of memory" when the MemoryError has no text),
+4 an internal error (a RuntimeError or ValueError from the library, such as a
+failed root certificate), 141 stdout was closed early.
 """
 
 import argparse
@@ -54,10 +55,14 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="fibvar", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
-    def add(name, handler, help_text):
-        p = sub.add_parser(name, help=help_text)
+    def add(name, handler, help_text, parents=()):
+        p = sub.add_parser(name, help=help_text, parents=parents)
         p.set_defaults(handler=handler, parser=p)
         return p
+
+    m_range = argparse.ArgumentParser(add_help=False)  # the flags of the three range commands
+    m_range.add_argument("--from", dest="m_lo", type=_at_least(7), default=7)
+    m_range.add_argument("--to", dest="m_hi", type=int, required=True)
 
     p = add(
         "r", _cmd_r,
@@ -74,26 +79,20 @@ def _build_parser() -> _Parser:
     p = add("moments", _cmd_moments, "CSV of n,R(n),A(n),V(n) for 0 <= n <= h-max")
     p.add_argument("--h-max", type=_at_least(0), required=True)
 
-    p = add(
+    add(
         "verify-lemma", _cmd_verify_lemma,
-        "check the five-term recurrence for V(F_m) on a range of m",
+        "check the five-term recurrence for V(F_m) on a range of m", [m_range],
     )
-    p.add_argument("--from", dest="m_lo", type=_at_least(7), default=7)
-    p.add_argument("--to", dest="m_hi", type=int, required=True)
 
-    p = add(
+    add(
         "verify-cases", _cmd_verify_cases,
-        "check the five-way case decomposition, counted by the sweep, on a range of m",
+        "check the five-way case decomposition, counted by the sweep, on a range of m", [m_range],
     )
-    p.add_argument("--from", dest="m_lo", type=_at_least(7), default=7)
-    p.add_argument("--to", dest="m_hi", type=int, required=True)
 
-    p = add(
+    add(
         "verify-w", _cmd_verify_w,
-        "compare the swept auxiliary count w_m with its closed form",
+        "compare the swept auxiliary count w_m with its closed form", [m_range],
     )
-    p.add_argument("--from", dest="m_lo", type=_at_least(7), default=7)
-    p.add_argument("--to", dest="m_hi", type=int, required=True)
 
     p = add("solve", _cmd_solve, "solve the recurrence exactly and print the coefficients")
     p.add_argument("--precision", type=_at_least(1), default=30)
@@ -267,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"fibvar: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (BudgetError, MemoryError) as exc:
-        print(f"fibvar: resource budget exceeded: {exc}", file=sys.stderr)
+        print(f"fibvar: resource budget exceeded: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_BUDGET
     except (RuntimeError, ValueError) as exc:
         print(f"fibvar: internal error: {exc}", file=sys.stderr)

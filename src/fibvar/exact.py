@@ -7,13 +7,13 @@ theta^k, which binary powering finds in Z[theta] with no cache.  Rational
 scalars are fractions.Fraction.  The linear solver is fraction-free (Bareiss)
 after clearing row denominators.  Real roots are isolated by one sign scan of
 a fixed grid on the Cauchy interval [-3, 3], then narrowed to 10^-digits
-wide by integer Newton steps with precision doubling (Brent and Zimmermann,
-Modern Computer Arithmetic, 2010, ch. 4) and certified by exact signs.  The
-cubic is irreducible, so it has no rational roots: every root lies strictly
-inside exactly one dyadic cell 3n/2^e < x < 3(n+1)/2^e of each level e, and a
-cell whose ends have opposite signs inside the root's scan cell is that cell.
-Newton only proposes n; the signs decide it, so the brackets are the cells
-that bisection would reach.
+wide by integer Newton steps that double the precision from the scan cell's
+midpoint, no float seed (Brent and Zimmermann, Modern Computer Arithmetic,
+2010, ch. 4), and certified by exact signs.  The cubic is irreducible, so it
+has no rational roots: every root lies strictly inside exactly one dyadic cell
+3n/2^e < x < 3(n+1)/2^e of each level e, and a cell whose ends have opposite
+signs inside the root's scan cell is that cell.  Newton only proposes n; the
+signs decide it, so the brackets are the cells that bisection would reach.
 """
 
 from dataclasses import dataclass
@@ -147,28 +147,26 @@ def _negative_at(n: int, e: int) -> bool:
     return _scaled_cubic(CAUCHY_BOUND * n, e) < 0
 
 
-_SEED_BITS = 48  # what a double-precision Newton seed is trusted to
+_SCAN = 2  # the level e of the sign scan: eight cells on [-3, 3]
 _GUARD_BITS = 8  # Newton works this far below the bracket's last bit
 
 
-def _newton_root(seed: float, bits: int) -> int:
-    """An integer within a few units of root * 2^bits, for the root seed is near.
+def _newton_root(cell: int, bits: int) -> int:
+    """An integer within a few units of root * 2^bits, for the root in the scan cell.
 
     Each integer Newton step at q bits takes the cubic scaled by 2^(3q) over
     its derivative scaled by 2^(2q), which is f/f' in units of 2^-q.  The
-    steps double the precision up to bits, starting at _SEED_BITS from six
-    float Newton steps on seed.  Quadratic convergence keeps the error within
-    a few units of the last place; a root that close to a cell's end can
-    move the proposed cell by one, which isolate_real_roots checks for.
+    steps double the precision up to bits from the scan cell's midpoint at
+    _SCAN + 3 bits or below, in integers only.  Quadratic convergence keeps the
+    error within a few units of the last place; a root that close to a cell's
+    end can move the proposed cell by one, which isolate_real_roots checks for.
     """
     c0, c1, c2, c3 = CUBIC_MIN_POLY
-    for _ in range(6):
-        seed -= (((c3 * seed + c2) * seed + c1) * seed + c0) / ((3 * c3 * seed + 2 * c2) * seed + c1)
     schedule = [bits]
-    while schedule[-1] > _SEED_BITS:
+    while schedule[-1] > _SCAN + 3:
         schedule.append(schedule[-1] // 2 + 2)
     p = schedule[-1]
-    x = int(seed * (1 << p))
+    x = CAUCHY_BOUND * (2 * cell + 1) << (p - _SCAN - 1)
     for q in reversed(schedule):
         x <<= q - p
         p = q
@@ -181,31 +179,30 @@ def isolate_real_roots(digits: int) -> list[IsolatedRoot]:
     """Isolate the three real roots of the cubic, sorted by decreasing value.
 
     Cells are [CAUCHY_BOUND * n / 2^e, CAUCHY_BOUND * (n + 1) / 2^e].  The
-    scan at e = 2 (eight cells on [-3, 3]) finds one sign change per root.
+    scan at e = _SCAN finds one sign change per root.
     Each root's bracket is the cell of the least level e with width at most
     10^-digits: Newton proposes n, and n is kept only when it lies in the
     root's scan cell and the cubic changes sign across it.
     """
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
-    scan = 2
     cells = [
         n
-        for n in range(-(1 << scan), 1 << scan)
-        if _negative_at(n, scan) != _negative_at(n + 1, scan)
+        for n in range(-(1 << _SCAN), 1 << _SCAN)
+        if _negative_at(n, _SCAN) != _negative_at(n + 1, _SCAN)
     ]
     if len(cells) != 3:
         raise RuntimeError(f"expected 3 sign changes on the grid, found {len(cells)}")
-    # the least e with CAUCHY_BOUND * 10^digits <= 2^e; above scan for digits >= 1
+    # the least e with CAUCHY_BOUND * 10^digits <= 2^e; above _SCAN for digits >= 1
     e = (CAUCHY_BOUND * 10**digits - 1).bit_length()
     roots = []
     for cell in reversed(cells):
-        low_negative = _negative_at(cell, scan)
-        x = _newton_root(CAUCHY_BOUND * (cell + 0.5) / (1 << scan), e + _GUARD_BITS)
+        low_negative = _negative_at(cell, _SCAN)
+        x = _newton_root(cell, e + _GUARD_BITS)
         guess = x // (CAUCHY_BOUND << _GUARD_BITS)
         for n in (guess, guess - 1, guess + 1):
             if (
-                n >> (e - scan) == cell
+                n >> (e - _SCAN) == cell
                 and _negative_at(n, e) == low_negative != _negative_at(n + 1, e)
             ):
                 break

@@ -160,7 +160,7 @@ def test_figure_cells_follow_the_dragon4_rule(x, text):
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_figure_cells_match_dragon4_on_any_float(x):
-    assert _fixed12(x) == _dragon4_12(x)
+    assert _csv_cells(np.array([x])) == [_dragon4_12(x)]
 
 
 def _csv_cells(column):

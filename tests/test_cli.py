@@ -321,6 +321,7 @@ def test_malformed_flags(capsys, argv):
         (["table", "--h-max", "-1"], "usage: fibvar table [-h] --h-max H_MAX"),
         (["verify-cases", "--from", "9", "--to", "8"], "usage: fibvar verify-cases [-h]"),
         (["frobnicate"], "usage: fibvar [-h] command ..."),
+        (["verify-w", "--to", "x"], "usage: fibvar verify-w [-h] [--from M_LO] --to M_HI"),
     ],
 )
 def test_usage_error_prints_the_usage_of_the_failing_command(capsys, argv, usage):
@@ -371,7 +372,7 @@ def test_running_out_of_memory_is_a_budget_error(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "moments", "--h-max", "3")
     assert code == cli.EXIT_BUDGET == 3
     assert out == ""
-    assert err.startswith("fibvar: resource budget exceeded")
+    assert err == "fibvar: resource budget exceeded: out of memory\n"
 
 
 def test_closed_stdout_exits_141_without_a_traceback():

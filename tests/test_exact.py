@@ -240,6 +240,6 @@ def test_isolate_roots_past_the_int_str_digit_limit():
 
 
 def test_a_cell_without_a_sign_change_is_refused(monkeypatch):
-    monkeypatch.setattr(exact, "_newton_root", lambda seed, bits: 0)
+    monkeypatch.setattr(exact, "_newton_root", lambda cell, bits: 0)
     with pytest.raises(RuntimeError, match="no sign change"):
         isolate_real_roots(20)

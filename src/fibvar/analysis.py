@@ -83,10 +83,10 @@ def _ln_fixed(num: int, den: int, bits: int) -> int:
 def exponent_report(precision: int) -> AsymptoticConstants:
     """Compute all four constants from first principles at the given precision.
 
-    phi comes from isqrt(5 * 4^bits); lambda_1 from certified root isolation
-    of the cubic x^3 - 2x^2 - 2x + 2.  The logarithms are _ln_fixed integers
-    at bits >= (precision + 20) * log2(10), each within 2 units of 2^-bits,
-    so every constant is one Decimal quotient of two integers at
+    phi comes from isqrt(5 * 4^bits); lambda_1 is the exact midpoint of its
+    certified bracket from isolate_real_roots.  The logarithms are _ln_fixed
+    integers at bits >= (precision + 20) * log2(10), each within 2 units of
+    2^-bits, so every constant is one Decimal quotient of two integers at
     precision + 10 digits, then rounded to precision.
     """
     if precision < 1:
@@ -94,12 +94,11 @@ def exponent_report(precision: int) -> AsymptoticConstants:
     bits = (precision + 20) * 10 // 3
     one = 1 << bits
     phi = (one + isqrt(5 << 2 * bits)) >> 1
-    # as_integer_ratio is exact: str(int) refuses more than 4300 digits, and
-    # scaleb would round to the context
-    lam1 = isolate_real_roots(precision + 5)[0].value.as_integer_ratio()
+    root = isolate_real_roots(precision + 5)[0]
+    lam1 = (root.low + root.high) / 2
     log_2 = _ln_fixed(2, 1, bits)
     log_phi = _ln_fixed(phi, one, bits)
-    log_lam1 = _ln_fixed(*lam1, bits)
+    log_lam1 = _ln_fixed(lam1.numerator, lam1.denominator, bits)
     ratios = ((phi, one), (log_2, log_phi), (log_lam1, log_phi), (2 * log_2 - log_phi, log_phi))
     with localcontext() as ctx:
         ctx.prec = precision + 10

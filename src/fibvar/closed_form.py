@@ -38,13 +38,13 @@ def particular_part(m: int) -> Fraction:
     return Fraction(m * m, 4) - Fraction(m * eps, 2)
 
 
-def build_trace_system() -> tuple[list[list[Fraction]], list[Fraction]]:
+def build_trace_system() -> tuple[list[list[int]], list[Fraction]]:
     """The 5x5 rational system in (g0, g1, g2, c3, c4); rows are m = 2..6."""
     matrix = []
     rhs = []
     for m in range(2, 7):
-        matrix.append([*power_traces(m), Fraction(1), Fraction((-1) ** m)])
-        rhs.append(Fraction(INITIAL[m - 2]) - particular_part(m))
+        matrix.append([*power_traces(m), 1, (-1) ** m])
+        rhs.append(INITIAL[m - 2] - particular_part(m))
     return matrix, rhs
 
 

@@ -5,7 +5,7 @@ element of Q(theta) is a coordinate triple whose three embeddings evaluate it
 at the three real roots of the cubic.  The power sums p_k are traces of
 theta^k, which binary powering finds in Z[theta] with no cache.  Rational
 scalars are fractions.Fraction.  The linear solver is fraction-free (Bareiss)
-after clearing row denominators.  Real roots are isolated by one sign scan of
+Gauss-Jordan, in one pass.  Real roots are isolated by one sign scan of
 a fixed grid on the Cauchy interval [-3, 3], then narrowed to 10^-digits
 wide by integer Newton steps that double the precision from the scan cell's
 midpoint, no float seed (Brent and Zimmermann, Modern Computer Arithmetic,
@@ -81,12 +81,12 @@ def power_traces(k: int) -> tuple[int, ...]:
 def solve_linear_system(
     matrix: Sequence[Sequence], rhs: Sequence
 ) -> list[Fraction]:
-    """Exact solution of a square system by fraction-free (Bareiss) elimination.
+    """Exact solution of a square system by fraction-free Gauss-Jordan elimination.
 
-    Rows are scaled to integers first, so all intermediate arithmetic is
-    integer-exact division.  The last pivot is the determinant det, so by
-    Cramer's rule det * x_i is an integer, and back-substitution finds those
-    integers by exact division; the answer comes back as reduced Fractions.
+    Rows are scaled to integers; each pivot clears its column in all other rows
+    (Bareiss, Math. Comp. 22, 1968).  After pivot k each updated entry is a
+    (k+1)-order minor of the augmented matrix and prev a k-order one, so // is
+    exact; at the end column n holds det * x_i, with no back-substitution.
     Raises SingularMatrixError when the matrix is singular.
     """
     n = len(matrix)
@@ -107,20 +107,13 @@ def solve_linear_system(
             raise SingularMatrixError(f"no pivot in column {k}")
         aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
         pivot = aug[k][k]
-        for i in range(k + 1, n):
-            head = aug[i][k]
-            for j in range(k + 1, n + 1):
-                aug[i][j] = (pivot * aug[i][j] - head * aug[k][j]) // prev
+        for i in range(n):
+            if i != k:
+                head = aug[i][k]
+                for j in range(k + 1, n + 1):
+                    aug[i][j] = (pivot * aug[i][j] - head * aug[k][j]) // prev
         prev = pivot
-
-    det = prev
-    scaled = [0] * n  # det * x_i
-    for i in range(n - 1, -1, -1):
-        acc = det * aug[i][n] - sum(aug[i][j] * scaled[j] for j in range(i + 1, n))
-        scaled[i], rem = divmod(acc, aug[i][i])
-        if rem:
-            raise RuntimeError(f"back-substitution left remainder {rem} in row {i}")
-    return [Fraction(y, det) for y in scaled]
+    return [Fraction(row[n], prev) for row in aug]
 
 
 @dataclass(frozen=True)
@@ -179,25 +172,22 @@ def isolate_real_roots(digits: int) -> list[IsolatedRoot]:
     """Isolate the three real roots of the cubic, sorted by decreasing value.
 
     Cells are [CAUCHY_BOUND * n / 2^e, CAUCHY_BOUND * (n + 1) / 2^e].  The
-    scan at e = _SCAN finds one sign change per root.
+    scan at e = _SCAN takes one sign per grid point, one sign change per root.
     Each root's bracket is the cell of the least level e with width at most
     10^-digits: Newton proposes n, and n is kept only when it lies in the
     root's scan cell and the cubic changes sign across it.
     """
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
-    cells = [
-        n
-        for n in range(-(1 << _SCAN), 1 << _SCAN)
-        if _negative_at(n, _SCAN) != _negative_at(n + 1, _SCAN)
-    ]
+    grid = range(-(1 << _SCAN), (1 << _SCAN) + 1)
+    signs = [_negative_at(n, _SCAN) for n in grid]
+    cells = [(n, low) for n, low, high in zip(grid, signs, signs[1:]) if low != high]
     if len(cells) != 3:
         raise RuntimeError(f"expected 3 sign changes on the grid, found {len(cells)}")
     # the least e with CAUCHY_BOUND * 10^digits <= 2^e; above _SCAN for digits >= 1
     e = (CAUCHY_BOUND * 10**digits - 1).bit_length()
     roots = []
-    for cell in reversed(cells):
-        low_negative = _negative_at(cell, _SCAN)
+    for cell, low_negative in reversed(cells):
         x = _newton_root(cell, e + _GUARD_BITS)
         guess = x // (CAUCHY_BOUND << _GUARD_BITS)
         for n in (guess, guess - 1, guess + 1):

@@ -109,13 +109,14 @@ def test_solver_rejects_malformed_input():
 
 
 def gauss_jordan(matrix, rhs):
-    """Reference for solve_linear_system: plain Fraction Gauss-Jordan; None when singular."""
+    """Reference for solve_linear_system: plain Fraction Gauss-Jordan; when singular, the
+    column where no pivot was found."""
     n = len(matrix)
     rows = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
     for k in range(n):
         p = next((i for i in range(k, n) if rows[i][k] != 0), None)
         if p is None:
-            return None
+            return k
         rows[k], rows[p] = rows[p], rows[k]
         rows[k] = [x / rows[k][k] for x in rows[k]]
         for i in range(n):
@@ -132,45 +133,61 @@ def test_solve_the_trace_system():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_solve_matches_gauss_jordan_on_random_systems(seed):
-    # even seeds: large integers; odd seeds: small fractions; seeds 4 and 5 need a row swap
+    # even seeds: large integers; odd seeds: small fractions; seeds 4 and 5 zero the first
+    # pivot, so they need a row swap.  At every size 1..8 there are also systems of entries
+    # in {-1, 0, 1}, which meet zero pivots at any step, and systems with a row that is a
+    # multiple of another, which are singular; the solver must name the reference's column.
     rng = random.Random(seed)
     if seed % 2:
         entry = lambda: Fraction(rng.randint(-30, 30), rng.randint(1, 12))
     else:
         entry = lambda: Fraction(rng.randint(-10**6, 10**6))
-    expected = None
-    while expected is None:
-        matrix = [[entry() for _ in range(5)] for _ in range(5)]
-        if seed >= 4:
-            matrix[0][0] = 0
-        rhs = [entry() for _ in range(5)]
-        expected = gauss_jordan(matrix, rhs)
-    assert solve_linear_system(matrix, rhs) == expected
+    sparse = lambda: rng.randint(-1, 1)
+    for n in range(1, 9):
+        for kind in ("dense", "sparse", "dependent"):
+            for _ in range(10):
+                draw = sparse if kind == "sparse" else entry
+                matrix = [[draw() for _ in range(n)] for _ in range(n)]
+                if seed >= 4:
+                    matrix[0][0] = 0
+                if kind == "dependent" and n > 1:
+                    a, b = rng.sample(range(n), 2)
+                    matrix[b] = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) * x for x in matrix[a]]
+                rhs = [entry() for _ in range(n)]
+                expected = gauss_jordan(matrix, rhs)
+                if isinstance(expected, int):
+                    with pytest.raises(SingularMatrixError, match=f"^no pivot in column {expected}$"):
+                        solve_linear_system(matrix, rhs)
+                else:
+                    assert solve_linear_system(matrix, rhs) == expected
 
 
 def test_singular_five_by_five_detected():
     rng = random.Random(7)
     matrix = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(5)] for _ in range(4)]
     matrix.append([2 * a - Fraction(1, 3) * b for a, b in zip(matrix[0], matrix[2])])
-    assert gauss_jordan(matrix, [1, 2, 3, 4, 5]) is None
-    with pytest.raises(SingularMatrixError):
+    assert gauss_jordan(matrix, [1, 2, 3, 4, 5]) == 4
+    with pytest.raises(SingularMatrixError, match="^no pivot in column 4$"):
         solve_linear_system(matrix, [1, 2, 3, 4, 5])
 
 
+@st.composite
+def square_systems(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    entries = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+    matrix = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    return matrix, draw(st.lists(entries, min_size=n, max_size=n))
+
+
 @settings(max_examples=50)
-@given(
-    st.lists(
-        st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=7), min_size=3, max_size=3),
-        min_size=3,
-        max_size=3,
-    ),
-    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=7), min_size=3, max_size=3),
-)
-def test_solver_reproduces_rhs_exactly(matrix, rhs):
+@given(square_systems())
+def test_solver_reproduces_rhs_exactly(system):
+    matrix, rhs = system
+    n = len(matrix)
     try:
         solution = solve_linear_system(matrix, rhs)
     except SingularMatrixError:
-        det = sp.Matrix(3, 3, [sp.Rational(f.numerator, f.denominator) for row in matrix for f in row]).det()
+        det = sp.Matrix(n, n, [sp.Rational(f.numerator, f.denominator) for row in matrix for f in row]).det()
         assert det == 0
         return
     for row, b in zip(matrix, rhs):

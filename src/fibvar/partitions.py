@@ -2,27 +2,31 @@
 
 R(n) is the number of ways to write n as a sum of strictly increasing
 Fibonacci values (OEIS A000119), with R(0) = 1 for the empty sum and
-R(n) = 0 for n < 0.  Tables are stored as int64 arrays and built block by
-block from Robbins' identity (Fibonacci Quarterly, 1996): for
-F_k <= n < F_{k+1},
+R(n) = 0 for n < 0.  Tables are built block by block from Robbins' identity
+(Fibonacci Quarterly, 1996): for F_k <= n < F_{k+1},
 
     R(n) = R(n - F_k) + R(F_{k+1} - 2 - n),
 
 since a partition of n either uses F_k, and the rest is a partition of
 n - F_k, or lies inside {F_2..F_{k-1}}, whose values sum to F_{k+1} - 2,
 and its complement there is a partition of F_{k+1} - 2 - n.  Both arguments
-lie below F_k.
+lie below F_{k-1}, so the largest R below F_{k+1} is at most twice the
+largest below F_{k-1}: R <= 2**floor((k-2)/2) below F_k, and R < 2**19 below
+MAX_TABLE_ENTRIES = 10**8 < F_40.  int32 is thus exact for the counts, by
+the identity alone, and int64 for their moments: R(n)**2 <= n+1, so even
+V(H) = sum_{n<=H} R(n)**2 <= (H+1)(H+2)/2 stays far below 2**63.
 
 _table_entries refuses any table of more than MAX_TABLE_ENTRIES entries
-before anything is allocated, and _fill_r writes the blocks into any 1-D
-int64 view; r_table and moments.moment_table share both.  Below that cap
-int64 is exact for the counts and for their moments: R(n)**2 <= n+1, so
-even V(H) = sum_{n<=H} R(n)**2 <= (H+1)(H+2)/2 stays far below 2**63.  The
-peak memory of a table of H+1 entries is its own 8 bytes per entry, and
-check_sqrt_bound, which screens it by chunk maxima and squares only the
-chunks the screen cannot clear, adds one chunk.  moments.moment_table peaks
-at 16 bytes per entry: R fills one column of a two-column table and its
-square the other, and one prefix pass turns them into A and V side by side.
+before anything is allocated, and _fill_r writes every entry of any 1-D
+int32 or int64 view, so no table is zeroed first; _r_array and
+moments.moment_table share both.  r and check_sqrt_bound only read R and
+hold it in int32, 4 bytes per entry; check_sqrt_bound, which screens the
+table by chunk maxima and squares only the chunks the screen cannot clear,
+widens to int64 where it squares and adds one chunk.  r_table hands R to
+callers that square and sum it, in int64 at 8 bytes per entry.
+moments.moment_table peaks at 16 bytes per entry: R fills one column of a
+two-column int64 table and its square the other, and one prefix pass turns
+them into A and V side by side.
 
 check_carlitz needs R only at the checkpoints F_m, and takes it from
 sweep.fib_partition_counts, which holds a few pair states per Fibonacci
@@ -38,7 +42,7 @@ from .errors import BudgetError
 from .fibonacci import fib_list
 from .sweep import fib_partition_counts
 
-MAX_TABLE_ENTRIES = 10**8  # 0.8 GB for R alone, 1.6 GB for moment_table
+MAX_TABLE_ENTRIES = 10**8  # 0.4 GB for r's int32 R, 0.8 GB for r_table, 1.6 GB for moment_table
 
 
 @dataclass(frozen=True)
@@ -61,7 +65,7 @@ def _table_entries(h_max: int) -> int:
 
 
 def _fill_r(r: np.ndarray) -> None:
-    """Write R(0..len(r)-1) into the 1-D int64 view r, one block [F_k, F_{k+1}) at a time.
+    """Write R(0..len(r)-1) into the 1-D integer view r, one block [F_k, F_{k+1}) at a time.
 
     Every operand of a block's vector add lies below F_k, so the add writes
     straight into r: about log_phi(len(r)) numpy calls and no temporary array.
@@ -80,18 +84,23 @@ def _fill_r(r: np.ndarray) -> None:
         prev, f = f, f + prev
 
 
+def _r_array(h_max: int, dtype) -> np.ndarray:
+    """R(0..h_max) in a new array of dtype, left unzeroed for _fill_r to write."""
+    r = np.empty(_table_entries(h_max), dtype=dtype)
+    _fill_r(r)
+    return r
+
+
 def r_table(h_max: int) -> CountTable:
     """Tabulate R(0..h_max) into one contiguous int64 array."""
-    r = np.zeros(_table_entries(h_max), dtype=np.int64)
-    _fill_r(r)
-    return CountTable(h_max=h_max, r=r)
+    return CountTable(h_max=h_max, r=_r_array(h_max, np.int64))
 
 
 def r(n: int) -> int:
     """R(n) for a single argument; negative n gives 0."""
     if n < 0:
         return 0
-    return int(r_table(n).r[n])
+    return int(_r_array(n, np.int32)[n])
 
 
 class CarlitzRow(NamedTuple):
@@ -119,7 +128,7 @@ class SqrtBoundResult(NamedTuple):
     equality_positions: list[int]
 
 
-SQRT_CHUNK = 1 << 12  # entries per screened chunk: 32 KB of int64, L1-sized
+SQRT_CHUNK = 1 << 12  # entries per screened chunk: 32 KB once widened to int64, L1-sized
 
 
 def check_sqrt_bound(h_max: int) -> SqrtBoundResult:
@@ -127,17 +136,18 @@ def check_sqrt_bound(h_max: int) -> SqrtBoundResult:
 
     Passes iff the bound holds everywhere and equality happens exactly at
     n = F_m**2 - 1 for Fibonacci numbers F_m, m >= 2.  A chunk from lo on whose
-    largest count, clamped to 2^31 to square it safely, squares below lo + 1 has
-    R(n)**2 < n + 1 throughout; only the other chunks get the slack n + 1 - R(n)**2.
-    The table is left as built: the peak is its 8 bytes per entry and one chunk.
+    largest count squares below lo + 1 has R(n)**2 < n + 1 throughout; only the
+    other chunks get the slack n + 1 - R(n)**2.  R is held in int32 and squared
+    in int64, where even a count of 2**31 - 1 cannot overflow.  The table is
+    left as built: the peak is its 4 bytes per entry and one chunk.
     """
-    r = r_table(h_max).r
+    r = _r_array(h_max, np.int32)
     starts = np.arange(0, h_max + 1, SQRT_CHUNK)
-    top = np.minimum(np.maximum.reduceat(r, starts), 1 << 31)
+    top_squared = np.square(np.maximum.reduceat(r, starts), dtype=np.int64)
     bound_ok, positions = True, []
-    for lo in starts[top * top >= starts + 1].tolist():
-        chunk = r[lo : lo + SQRT_CHUNK]
-        slack = np.arange(lo + 1, lo + 1 + len(chunk)) - chunk * chunk
+    for lo in starts[top_squared >= starts + 1].tolist():
+        squares = np.square(r[lo : lo + SQRT_CHUNK], dtype=np.int64)
+        slack = np.arange(lo + 1, lo + 1 + len(squares)) - squares
         bound_ok = bound_ok and bool(slack.min() >= 0)
         positions += (np.flatnonzero(slack == 0) + lo).tolist()
     # F_k^2 >= phi^(2k-4) >= 2^(k-2), so F_k^2 <= h_max + 1 < 2^b needs k <= b + 1;

@@ -12,6 +12,8 @@ from fibvar.partitions import (
     MAX_TABLE_ENTRIES,
     SQRT_CHUNK,
     CarlitzRow,
+    _fill_r,
+    _r_array,
     check_carlitz,
     check_sqrt_bound,
     r,
@@ -83,8 +85,54 @@ def test_block_table_matches_subset_dp_at_random_sizes(dp_past_f33, h):
     assert np.array_equal(r_table(h).r, dp_past_f33[: h + 1])
 
 
+def _filled_views(n):
+    """_fill_r's output over n entries in each kind of buffer it is given, pre-set to -1."""
+    views = []
+    for dtype in (np.int64, np.int32):
+        buf = np.full(n, -1, dtype=dtype)
+        _fill_r(buf)
+        views.append(buf)
+    pair = np.full((n, 2), -1, dtype=np.int64)  # the column moments.moment_table fills
+    _fill_r(pair[:, 0])
+    assert np.all(pair[:, 1] == -1)  # the other column is not touched
+    return views + [pair[:, 0]]
+
+
+def _fill_sizes():
+    rng = np.random.default_rng(29)
+    around = {h for k in range(2, 28) for h in range(F[k] - 2, F[k] + 2) if h >= 0}
+    return sorted(around | {int(h) for h in rng.integers(0, 2 * 10**6, 4)})
+
+
+@pytest.mark.parametrize("h", _fill_sizes())
+def test_fill_r_writes_every_entry(dp_past_f33, h):
+    # np.empty can return a freed table that already holds R, so fill over -1
+    for view in _filled_views(h + 1):
+        assert np.array_equal(view, dp_past_f33[: h + 1]), view.dtype
+
+
 def test_r_table_peak_memory_is_the_table(peak_bytes):
     assert peak_bytes(lambda: r_table(10**6)) <= 1.05 * 8 * (10**6 + 1)
+
+
+def test_int32_counts_are_exact_up_to_the_table_cap(dp_past_f33):
+    # R <= 2**floor((k-2)/2) below F_k, from Robbins' identity; r and check_sqrt_bound
+    # hold R in int32, so raising MAX_TABLE_ENTRIES past that must fail here
+    for k in range(2, FIB_K_MAX + 1):
+        assert dp_past_f33[: F[k]].max() <= 2 ** ((k - 2) // 2), k
+    k = next(k for k, f in enumerate(F) if f > MAX_TABLE_ENTRIES)
+    assert 2 ** ((k - 2) // 2) <= np.iinfo(np.int32).max
+
+
+def test_r_peak_memory_is_an_int32_table(peak_bytes):
+    n = 10**6
+    assert peak_bytes(lambda: r(n)) <= 1.05 * 4 * (n + 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=3 * 10**5))
+def test_r_matches_the_table_entry(n):
+    assert r(n) == r_table(n).r[n]
 
 
 def test_single_point_queries():
@@ -125,6 +173,7 @@ def test_r_at_fib_squared_minus_one():
     table = r_table(F[18] ** 2 - 1)
     for m in range(2, 19):
         assert table.r[F[m] ** 2 - 1] == F[m]
+        assert r(F[m] ** 2 - 1) == F[m]
 
 
 def test_check_carlitz_rows():
@@ -199,46 +248,47 @@ def test_check_sqrt_bound_fails_on_a_violation_in_a_chunk_the_screen_clears(monk
     assert cleared  # the case under test exists
     n = cleared[-1] + SQRT_CHUNK // 2
     value = isqrt(n + 1) + 1  # the smallest R(n) past the bound
-    real = r_table
+    real = _r_array
 
-    def corrupted(h_max):
-        table = real(h_max)
-        table.r[n] = value
+    def corrupted(h_max, dtype):
+        table = real(h_max, dtype)
+        table[n] = value
         return table
 
-    monkeypatch.setattr("fibvar.partitions.r_table", corrupted)
+    monkeypatch.setattr("fibvar.partitions._r_array", corrupted)
     assert check_sqrt_bound(h) == (False, sqrt_bound_reference(h)[1])
 
 
 def test_check_sqrt_bound_leaves_the_table_as_built(monkeypatch):
     built = []
 
-    def recorded(h_max):
-        built.append(r_table(h_max))
+    def recorded(h_max, dtype):
+        built.append(_r_array(h_max, dtype))
         return built[-1]
 
-    monkeypatch.setattr("fibvar.partitions.r_table", recorded)
+    monkeypatch.setattr("fibvar.partitions._r_array", recorded)
     check_sqrt_bound(3 * SQRT_CHUNK)
-    assert np.array_equal(built[0].r, r_table(3 * SQRT_CHUNK).r)
+    assert np.array_equal(built[0], r_table(3 * SQRT_CHUNK).r)
 
 
 def test_check_sqrt_bound_peak_memory_is_the_table(peak_bytes):
-    # the table, its one ramp and a chunk's comparison; full-length temporaries were 3.3 tables
+    # the int32 table, a chunk's int64 squares, ramp and slack, and the last chunk's squares
+    # and slack while the next is squared: about 4.14 MB, half an int64 table
     h = 10**6
-    assert peak_bytes(lambda: check_sqrt_bound(h)) <= 1.05 * 8 * (h + 1) + 10 * SQRT_CHUNK
+    assert peak_bytes(lambda: check_sqrt_bound(h)) <= 1.05 * 4 * (h + 1) + 40 * SQRT_CHUNK
 
 
 @pytest.mark.parametrize("n, value", [((1 << 16) + 5, 1000), (15, 4)])
 def test_check_sqrt_bound_fails_on_a_wrong_table(monkeypatch, n, value):
     # a violation past the first chunk, or an equality at n = 15, which is no F_m**2 - 1
-    real = r_table
+    real = _r_array
 
-    def corrupted(h_max):
-        table = real(h_max)
-        table.r[n] = value
+    def corrupted(h_max, dtype):
+        table = real(h_max, dtype)
+        table[n] = value
         return table
 
-    monkeypatch.setattr("fibvar.partitions.r_table", corrupted)
+    monkeypatch.setattr("fibvar.partitions._r_array", corrupted)
     passed, positions = check_sqrt_bound(2 << 16)
     assert not passed
     assert (n in positions) == (value**2 == n + 1)

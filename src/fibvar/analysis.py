@@ -130,19 +130,17 @@ _UNITS = {c: _quads(np.where([0, 0, 0, 1], ord(c), _DIGITS[::10]), _N[::10] >= [
 _HIGH = _quads(_DIGITS, _N >= [1000, 100, 10, 1])
 _FRAC = _quads(_DIGITS, *(np.arange(4) < np.arange(4)[:, None]))  # 10000 k + q: k digits
 _KEEP = 10000 * np.clip(np.arange(16) - 4 * np.arange(4)[:, None], 0, 4)  # [quad, digits]
-_SEP = dict(zip("-,\n", np.frombuffer(b"\0\0\0-\0\0\0,\0\0\0\n", np.uint32)))
+_SEP = dict(zip(",\n", np.frombuffer(b"\0\0\0,\0\0\0\n", np.uint32)))
 
 
 def _int_quads(values: np.ndarray, sep: str) -> list:
-    """Quads of str(n) + sep for each integer n, most significant first; the top one leads."""
-    signed = bool((neg := values < 0).any())
-    mag = values.astype(np.uint64 if signed else np.int64, copy=False)
-    quads, high = [], np.where(neg, -mag, mag) if signed else mag  # exact for -2^63
+    """Quads of str(n) + sep for each n of a non-negative int64 array, most significant first."""
+    quads, high = [], values
     *lower, (top, _) = [(_UNITS[sep], 1000)] + [(_HIGH, 10000)] * (len(str(int(high.max()))) // 4)
     for table, base in lower:
         mag, high = high, high // base
         quads.append(table[np.minimum(mag, mag - high * base + base)])  # mag < base if it leads
-    return ([np.where(neg, _SEP["-"], 0)] if signed else []) + [top[high]] + quads[::-1]
+    return [top[high]] + quads[::-1]
 
 
 def _float_quads(values: np.ndarray, sep: str) -> list:
@@ -180,8 +178,8 @@ def _float_quads(values: np.ndarray, sep: str) -> list:
 def write_csv(out: TextIO, header: str, columns) -> None:
     """Write header, then row i as the i-th entries of columns joined by commas.
 
-    A column is a range or a numpy array of int64 or floats, all of one
-    length; integers print in decimal, floats by the 12-digit rule above.
+    A column is a range or a numpy array of non-negative int64 or of float64,
+    all of one length; integers print in decimal, floats by the 12-digit rule.
     Each CSV_CHUNK_ROWS rows, every column copied contiguous first (a column
     view of a wider table is strided), become one row-major uint32 record
     matrix of quads from the tables above, written at once as its bytes with
@@ -197,8 +195,8 @@ def write_csv(out: TextIO, header: str, columns) -> None:
             part = column[lo : lo + CSV_CHUNK_ROWS]
             part = (np.arange(part.start, part.stop, part.step) if isinstance(part, range)
                     else np.ascontiguousarray(part))
-            is_float = part.dtype.kind == "f"
-            quads += _float_quads(part.astype(float), sep) if is_float else _int_quads(part, sep)
+            quads += (_float_quads(part.astype(np.float64, copy=False), sep)
+                      if part.dtype.kind == "f" else _int_quads(part, sep))
         out.write(np.stack(np.broadcast_arrays(*quads)).T.tobytes().translate(None, b"\0").decode())
 
 

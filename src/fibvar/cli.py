@@ -4,7 +4,8 @@ Exit codes: 0 success / all checks pass, 1 usage error (argument parsing
 only), 2 a verification failed, 3 a memory or size budget was exceeded or
 memory ran out (printed as "out of memory" when the MemoryError has no text),
 4 an internal error (a RuntimeError or ValueError from the library, such as a
-failed root certificate), 141 stdout was closed early.
+failed root certificate) or a failed write to stdout, 141 stdout was closed
+early.  main returns the exit code, 0 for --help included.
 """
 
 import argparse
@@ -27,17 +28,10 @@ EXIT_INTERNAL = 4
 EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell shows for a writer cut off by its reader
 
 
-class _UsageError(Exception):
-    def __init__(self, message: str, parser: argparse.ArgumentParser):
-        super().__init__(message)
-        self.parser = parser  # the (sub)command whose usage to print
-
-
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 by default, which collides with the
-    # verification-failure code; route usage problems through EXIT_USAGE.
+    # argparse's own status 2 would read as a failed verification: end in EXIT_USAGE
     def error(self, message):
-        raise _UsageError(message, self)
+        self.exit(EXIT_USAGE, f"{self.format_usage()}fibvar: error: {message}\n")
 
 
 def _at_least(floor: int):
@@ -263,23 +257,24 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         code = args.handler(args)
-        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        sys.stdout.flush()  # a closed or full stdout raises here, not at exit
         return code
-    except _UsageError as exc:
-        exc.parser.print_usage(sys.stderr)
-        print(f"fibvar: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except SystemExit as exc:  # a usage error, or --help
+        return exc.code
     except (BudgetError, MemoryError) as exc:
         print(f"fibvar: resource budget exceeded: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_BUDGET
     except (RuntimeError, ValueError) as exc:
         print(f"fibvar: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except BrokenPipeError:
+    except OSError as exc:
         # the recipe in Python's signal docs: the flush at exit must not raise again
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
-        return EXIT_PIPE
+        if isinstance(exc, BrokenPipeError):
+            return EXIT_PIPE
+        print(f"fibvar: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

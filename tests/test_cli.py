@@ -117,13 +117,43 @@ def test_verify_lemma_failure_exit_code(capsys, monkeypatch):
     assert out.splitlines() == ["m=7 lhs=53 rhs=52 FAIL", "verify-lemma: FAIL (0/1)"]
 
 
+BAD_RANGES = {
+    ("--from", "9", "--to", "8"): "empty range [9, 8]",
+    ("--from", "6", "--to", "8"): "argument --from: must be >= 7, got 6",
+    ("--to", "2"): "empty range [7, 2]",
+}
+
+
 @pytest.mark.parametrize("command", ["verify-lemma", "verify-cases", "verify-w"])
-@pytest.mark.parametrize("bounds", [("--from", "9", "--to", "8"), ("--from", "6", "--to", "8"), ("--to", "2")])
+@pytest.mark.parametrize("bounds", list(BAD_RANGES))
 def test_range_commands_print_usage_on_a_bad_range(capsys, command, bounds):
     code, out, err = run_cli(capsys, command, *bounds)
     assert code == cli.EXIT_USAGE
     assert out == ""
-    assert err.startswith("usage: fibvar")
+    usage = f"usage: fibvar {command} [-h] [--from M_LO] --to M_HI\n"
+    assert err == f"{usage}fibvar: error: {BAD_RANGES[bounds]}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, usage, error",
+    [
+        ([], "fibvar [-h] command ...", "the following arguments are required: command"),
+        (["r", "--n", "x"], "fibvar r [-h] --n N", "argument --n: invalid int value: 'x'"),
+    ],
+)
+def test_usage_error_prints_exactly_the_usage_and_the_error(capsys, argv, usage, error):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_USAGE == 1
+    assert out == ""
+    assert err == f"usage: {usage}\nfibvar: error: {error}\n"
+
+
+@pytest.mark.parametrize("argv, usage", [(["--help"], "fibvar [-h]"), (["r", "-h"], "fibvar r [-h]")])
+def test_help_returns_0_with_the_help_on_stdout(capsys, argv, usage):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_OK == 0
+    assert out.startswith(f"usage: {usage}") and "show this help message and exit" in out
+    assert err == ""
 
 
 def test_verify_w_subcommand(capsys):
@@ -178,7 +208,21 @@ def test_solve_prints_lambdas_past_the_int_str_digit_limit(capsys):
 def test_closed_form_subcommand(capsys):
     code, out, _ = run_cli(capsys, "closed-form", "--m", "30")
     assert code == 0
-    assert out.strip() == "V(F_30) = 50849571042"
+    assert out == "V(F_30) = 50849571042\n"
+
+
+# digests of the stdout that the installed console script is checked against
+STDOUT_SHA256 = {
+    ("solve", "--precision", "30"): "5df27a3f1ee50697e02eaaab71284f98728a121052f837788d07f87f3d80423a",
+    ("exponents", "--precision", "30"): "f99d2f7de26a9fa768c7cd529adbe808659591c3595e927c68e66cc36b58a1ef",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(STDOUT_SHA256))
+def test_stdout_is_pinned(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[argv]
 
 
 def test_closed_form_prints_more_digits_than_int_str_limit(capsys, solution):
@@ -386,6 +430,19 @@ def test_closed_stdout_exits_141_without_a_traceback():
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == cli.EXIT_PIPE == 141
     assert err == b""
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full on this system")
+def test_full_stdout_is_an_internal_error_without_a_traceback():
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "fibvar.cli", "r", "--n", "5"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    assert result.returncode == cli.EXIT_INTERNAL == 4
+    assert result.stderr == "fibvar: cannot write output: [Errno 28] No space left on device\n"
 
 
 def readme_cli_lines():

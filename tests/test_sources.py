@@ -6,7 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-from fibvar import cli
 from fibvar.errors import BudgetError
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fibvar"
@@ -46,7 +45,6 @@ def test_every_exception_class_has_an_exit_code():
             if (
                 isinstance(cls, type)
                 and issubclass(cls, BaseException)
-                and cls is not cli._UsageError
                 and not issubclass(cls, (BudgetError, ValueError, RuntimeError))
             ):
                 offenders.append(f"{path.name}:{node.name}")

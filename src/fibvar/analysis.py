@@ -25,7 +25,9 @@ quads, gathered from tables that hold NUL where nothing prints, and written with
 the NULs deleted.  Cells it cannot decide take the exact route _fixed12: x not
 finite or <= 0, e outside [-4, 11] or misjudged by log10, m = 10^12 from a
 carry, x * 10^(11-e) within 1e-3 of a half-integer, or, for e < 0, m ending
-in 0 with x * 10^(11-e) within 1e-3 of m.
+in 0 with x * 10^(11-e) within 1e-3 of m.  Every CSV command prints from
+moment_rows, so it holds one int32 R table plus one chunk; moments.moment_table
+and partitions.r_table are the whole-array API and the tests' reference.
 """
 
 from dataclasses import dataclass
@@ -36,7 +38,7 @@ from typing import TextIO
 import numpy as np
 
 from .exact import isolate_real_roots
-from .moments import moment_table
+from .partitions import _r_array
 
 CSV_HEADER = "H,V,norm_cs,norm_main"
 
@@ -175,29 +177,34 @@ def _float_quads(values: np.ndarray, sep: str) -> list:
     return list(quads)
 
 
-def write_csv(out: TextIO, header: str, columns) -> None:
-    """Write header, then row i as the i-th entries of columns joined by commas.
+def write_csv(out: TextIO, header: str, chunks) -> None:
+    """Write header, then the rows of each chunk: row i joins the i-th entries of its columns.
 
-    A column is a range or a numpy array of non-negative int64 or of float64,
-    all of one length; integers print in decimal, floats by the 12-digit rule.
-    Each CSV_CHUNK_ROWS rows, every column copied contiguous first (a column
-    view of a wider table is strided), become one row-major uint32 record
-    matrix of quads from the tables above, written at once as its bytes with
-    every NUL deleted.
-    """
-    n_rows = len(columns[0])
-    if any(len(c) != n_rows for c in columns):
-        raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
+    A chunk is a list of equal-length numpy columns of non-negative int64, printed
+    in decimal, or of float64, printed by the 12-digit rule, as one record matrix."""
     out.write(header + "\n")
-    for lo in range(0, n_rows, CSV_CHUNK_ROWS):
+    for columns in chunks:
         quads = []
         for column, sep in zip(columns, [","] * (len(columns) - 1) + ["\n"]):
-            part = column[lo : lo + CSV_CHUNK_ROWS]
-            part = (np.arange(part.start, part.stop, part.step) if isinstance(part, range)
-                    else np.ascontiguousarray(part))
-            quads += (_float_quads(part.astype(np.float64, copy=False), sep)
-                      if part.dtype.kind == "f" else _int_quads(part, sep))
+            quads += (_float_quads if column.dtype.kind == "f" else _int_quads)(column, sep)
         out.write(np.stack(np.broadcast_arrays(*quads)).T.tobytes().translate(None, b"\0").decode())
+
+
+def moment_rows(h_max: int):
+    """Chunks [n, R(n), A(n), V(n)] of CSV_CHUNK_ROWS int64 rows for 0 <= n <= h_max.
+
+    The int32 R table is built at the call, so a refused size raises before any
+    output.  A and V carry across chunks, exact as V(H) < 2^63 below the cap."""
+    r = _r_array(h_max, np.int32)
+
+    def chunks(a=0, v=0):
+        for lo in range(0, h_max + 1, CSV_CHUNK_ROWS):
+            r_part = r[lo : lo + CSV_CHUNK_ROWS].astype(np.int64)
+            a_part, v_part = np.cumsum(r_part) + a, np.cumsum(r_part * r_part) + v
+            a, v = a_part[-1], v_part[-1]
+            yield [np.arange(lo, lo + len(r_part)), r_part, a_part, v_part]
+
+    return chunks()
 
 
 def write_figure_csv(h_max: int, out: TextIO) -> None:
@@ -205,10 +212,13 @@ def write_figure_csv(h_max: int, out: TextIO) -> None:
     if h_max < 1:
         raise ValueError(f"h_max must be >= 1, got {h_max}")
     constants = exponent_report(30)
-    # rows run H = 1..h_max; a copy lets A go, where a view of V would keep both columns
-    v = moment_table(h_max).v[1:].copy()
-    log_h = np.log(np.arange(1, h_max + 1, dtype=np.float64))
-    v_float = v.astype(np.float64)
-    norm_cs = v_float * np.exp(-float(constants.exponent_cs) * log_h)
-    norm_main = v_float * np.exp(-float(constants.exponent_main) * log_h)
-    write_csv(out, CSV_HEADER, [range(1, h_max + 1), v, norm_cs, norm_main])
+    e_cs, e_main = float(constants.exponent_cs), float(constants.exponent_main)
+
+    def figure_rows(chunks):
+        for h, _, _, v in chunks:
+            h, v = (h[1:], v[1:]) if h[0] == 0 else (h, v)  # rows run H = 1..h_max
+            log_h = np.log(h.astype(np.float64))
+            v_float = v.astype(np.float64)
+            yield [h, v, v_float * np.exp(-e_cs * log_h), v_float * np.exp(-e_main * log_h)]
+
+    write_csv(out, CSV_HEADER, figure_rows(moment_rows(h_max)))

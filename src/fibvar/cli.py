@@ -14,8 +14,6 @@ import sys
 from collections.abc import Iterable
 from decimal import Decimal
 
-import numpy as np
-
 from . import analysis, casework, closed_form, moments, partitions
 from .errors import BudgetError
 from .fibonacci import zeckendorf
@@ -128,19 +126,13 @@ def _cmd_zeckendorf(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    table = partitions.r_table(args.h_max)
-    analysis.write_csv(sys.stdout, "n,R", [range(args.h_max + 1), table.r])
+    rows = ([n, r] for n, r, _, _ in analysis.moment_rows(args.h_max))  # R is built here
+    analysis.write_csv(sys.stdout, "n,R", rows)
     return EXIT_OK
 
 
 def _cmd_moments(args) -> int:
-    mom = moments.moment_table(args.h_max)
-    # R back from A in one pass, exact in int64: 24 bytes per entry with A and V
-    a = mom.a
-    r = np.empty(len(a), dtype=a.dtype)
-    r[0] = a[0]
-    np.subtract(a[1:], a[:-1], out=r[1:])
-    analysis.write_csv(sys.stdout, "n,R,A,V", [range(args.h_max + 1), r, a, mom.v])
+    analysis.write_csv(sys.stdout, "n,R,A,V", analysis.moment_rows(args.h_max))
     return EXIT_OK
 
 

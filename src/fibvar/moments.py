@@ -1,10 +1,11 @@
 """First and second moments of the partition counts, and the five-term recurrence.
 
 A(H) = sum_{n<=H} R(n) and V(H) = sum_{n<=H} R(n)^2 over a range come from
-moment_table, as prefix-sum arrays.  V(F_m) at a single Fibonacci checkpoint
-comes from v_at_fib, one start of the pair sweep of fibvar.sweep, which
-builds no table.  Along the checkpoints the second moment satisfies, for
-m >= 7,
+moment_table, as prefix-sum arrays: the whole-array API and the tests'
+reference, where the CSV commands stream them from analysis.moment_rows.
+V(F_m) at a single Fibonacci checkpoint comes from v_at_fib, one start of
+the pair sweep of fibvar.sweep, which builds no table.  Along the
+checkpoints the second moment satisfies, for m >= 7,
 
     V(F_m) = 2 V(F_{m-1}) + 3 V(F_{m-2}) - 4 V(F_{m-3}) - 2 V(F_{m-4})
              + 2 V(F_{m-5}) + 1 - 2*floor(m/2),

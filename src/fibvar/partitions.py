@@ -19,14 +19,11 @@ V(H) = sum_{n<=H} R(n)**2 <= (H+1)(H+2)/2 stays far below 2**63.
 _table_entries refuses any table of more than MAX_TABLE_ENTRIES entries
 before anything is allocated, and _fill_r writes every entry of any 1-D
 int32 or int64 view, so no table is zeroed first; _r_array and
-moments.moment_table share both.  r and check_sqrt_bound only read R and
-hold it in int32, 4 bytes per entry; check_sqrt_bound, which screens the
-table by chunk maxima and squares only the chunks the screen cannot clear,
-widens to int64 where it squares and adds one chunk.  r_table hands R to
-callers that square and sum it, in int64 at 8 bytes per entry.
-moments.moment_table peaks at 16 bytes per entry: R fills one column of a
-two-column int64 table and its square the other, and one prefix pass turns
-them into A and V side by side.
+moments.moment_table share both.  r, check_sqrt_bound and every CSV command
+(through analysis.moment_rows) hold R in int32, 4 bytes per entry; the last
+two widen it to int64 one chunk at a time.  r_table (int64, 8 bytes per
+entry) and moments.moment_table (16) are the whole-array API and the tests'
+reference.
 
 check_carlitz needs R only at the checkpoints F_m, and takes it from
 sweep.fib_partition_counts, which holds a few pair states per Fibonacci
@@ -42,7 +39,7 @@ from .errors import BudgetError
 from .fibonacci import fib_list
 from .sweep import fib_partition_counts
 
-MAX_TABLE_ENTRIES = 10**8  # 0.4 GB for r's int32 R, 0.8 GB for r_table, 1.6 GB for moment_table
+MAX_TABLE_ENTRIES = 10**8  # int32 R (r, every CSV) 0.4 GB; r_table 0.8 GB, moment_table 1.6 GB
 
 
 @dataclass(frozen=True)

@@ -95,6 +95,29 @@ def test_csv_output_is_pinned(capsys, command, h_max):
     assert hashlib.sha256(out.encode()).hexdigest() == CSV_SHA256[command, h_max]
 
 
+# digests of the CSVs as whole-column writes printed them, the rows ending one before,
+# at and one past the first chunk boundary
+CHUNK_EDGE_SHA256 = {
+    ("table", 8191): "57608b9851eac4df281290e063cc1fc3553d5fd64571eba2f92be31aa516a424",
+    ("table", 8192): "c48b3d2cc000a3d2679bf027fbdb0fe0efe38337956a065869dbfb0cd1c1579b",
+    ("table", 8193): "711c88fffcff9ddd8bd376519572fd45dcb5bdebaffe380390003cc739f8739a",
+    ("moments", 8191): "bbddaed9c838aec4d0026a07a62c456bfa479b18fd4aee9249cd8e2a4328c6e7",
+    ("moments", 8192): "452175736d673aadb955fb47cc3543b5a32999da732fcf35535ff13030f335ea",
+    ("moments", 8193): "a3fe2074bf339148047c5aab2f4c6caff10a13b790dc5d08effc4b298da85a34",
+    ("figure", 8191): "bd8c2f20afa33eb39f9302ac96ef6ebb165bf85185d8b9de09a4be9eda125e1b",
+    ("figure", 8192): "8f015b6d3012f8d02a5ecf2f445347cecd8e0f408bcf181ccebfc9fa36d482d6",
+    ("figure", 8193): "3cca4c67a617c958aec418b99bbd26e11642560db7e2878f46180bf9963e76d1",
+}
+
+
+@pytest.mark.parametrize("command, h_max", sorted(CHUNK_EDGE_SHA256))
+def test_csv_output_at_chunk_edges_is_pinned(capsys, command, h_max):
+    assert analysis.CSV_CHUNK_ROWS == 8192  # the boundary these sizes straddle
+    code, out, _ = run_cli(capsys, command, "--h-max", str(h_max))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CHUNK_EDGE_SHA256[command, h_max]
+
+
 def test_verify_lemma_passes(capsys):
     code, out, _ = run_cli(capsys, "verify-lemma", "--from", "7", "--to", "12")
     assert code == 0
@@ -280,9 +303,12 @@ def test_no_subcommand_is_usage_error(capsys):
     assert "usage" in err
 
 
-def test_budget_exceeded_exit_code(capsys):
-    code, _, err = run_cli(capsys, "figure", "--h-max", str(10**9))
+@pytest.mark.parametrize("command", ["table", "moments", "figure"])
+def test_budget_exceeded_exit_code(capsys, command):
+    # the table is refused before the CSV header is written
+    code, out, err = run_cli(capsys, command, "--h-max", str(10**8))
     assert code == 3
+    assert out == ""
     assert "budget" in err
 
 
@@ -389,10 +415,10 @@ def test_library_runtime_error_is_an_internal_error(capsys, monkeypatch, argv):
 
 def test_library_value_error_is_an_internal_error(capsys, monkeypatch):
     # every flag floor is checked by the parser, so a ValueError from the library is a bug
-    def broken(h_max):
+    def broken(h_max, dtype):
         raise ValueError("bad table")
 
-    monkeypatch.setattr(cli.partitions, "r_table", broken)
+    monkeypatch.setattr(cli.analysis, "_r_array", broken)
     code, out, err = run_cli(capsys, "table", "--h-max", "3")
     assert code == cli.EXIT_INTERNAL == 4
     assert out == ""
@@ -409,10 +435,10 @@ def test_singular_solve_is_an_internal_error(capsys, monkeypatch):
 
 
 def test_running_out_of_memory_is_a_budget_error(capsys, monkeypatch):
-    def broken(h_max):
+    def broken(h_max, dtype):
         raise MemoryError
 
-    monkeypatch.setattr(cli.moments, "moment_table", broken)
+    monkeypatch.setattr(cli.analysis, "_r_array", broken)
     code, out, err = run_cli(capsys, "moments", "--h-max", "3")
     assert code == cli.EXIT_BUDGET == 3
     assert out == ""

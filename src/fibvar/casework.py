@@ -24,10 +24,10 @@ R(F_k) = floor(k/2) (Carlitz), which partitions.check_carlitz checks against
 a sweep; neither side builds a table.  A count with fixed top values enters
 the sweep just below the smaller top, one start per choice of the values
 between the two tops, and a count over the window is the count at cap F_m
-minus the count at cap F_{m-1}.  One sweep per m gives the window total, the
-five cases, the mixed pair {F_m, F_{m-2}} and w_m, a few states per Fibonacci
-value below F_m, so case_breakdown and verify_case_range reach
-sweep.MAX_SWEEP_INDEX.
+minus the count at cap F_{m-1}.  One sweep per range gives each m's window
+total, five cases, mixed pair {F_m, F_{m-2}} and w_m: the starts of every m
+share each level, 22 states at most, so verify_case_range reaches
+sweep.MAX_SWEEP_INDEX in one pass, as partitions.check_carlitz does.
 """
 
 from dataclasses import dataclass
@@ -49,28 +49,32 @@ _TOPS = {
 }
 
 
-def _class_counts(m: int) -> dict[str, int]:
-    """The window total, each class of _TOPS, and w_m, from one sweep.
+def _class_counts(m_lo: int, m_hi: int) -> dict[int, dict[str, int]]:
+    """By m in [m_lo, m_hi]: the window total, each class of _TOPS, and w_m, from one sweep.
 
     A class with tops F_a <= F_b enters the sweep at level a - 1: X so far is
     F_a, Y so far is F_b plus any subset of F_a, ..., F_{b-1}, and each such
     subset is one start (Y so far - F_a, cap - F_a).  w_m is the class with
     tops (F_{m-3}, F_{m-2}) at caps F_{m-1} and F_{m-3}.
     """
-    fibs = sweep_fibs(m)
-    starts = [(m, (0, fibs[m])), (m, (0, fibs[m - 1]))]
-    tags = [("total", 1), ("total", -1)]  # the count start i adds to, and its sign
-    classes = [(name, m - i, m - j, m, m - 1) for name, (i, j) in _TOPS.items()]
-    for name, a, b, hi, lo in classes + [("w", m - 3, m - 2, m - 1, m - 3)]:
-        placed = [fibs[b]]
-        for k in range(a, b):
-            placed += [y + fibs[k] for y in placed]
-        for sign, cap in ((1, fibs[hi]), (-1, fibs[lo])):
-            starts += [(a - 1, (y - fibs[a], cap - fibs[a])) for y in placed]
-            tags += [(name, sign)] * len(placed)
-    out = dict.fromkeys((name for name, _ in tags), 0)
-    for (name, sign), count in zip(tags, pair_completions(fibs, starts)):
-        out[name] += sign * count
+    if m_lo < 7:
+        raise ValueError(f"the five-way case split needs m >= 7, got {m_lo}")
+    fibs = sweep_fibs(m_hi)
+    starts, tags = [], []  # tags: the m, the count start i adds to, and its sign
+    for m in range(m_lo, m_hi + 1):
+        starts += [(m, (0, fibs[m])), (m, (0, fibs[m - 1]))]
+        tags += [(m, "total", 1), (m, "total", -1)]
+        classes = [(name, m - i, m - j, m, m - 1) for name, (i, j) in _TOPS.items()]
+        for name, a, b, hi, lo in classes + [("w", m - 3, m - 2, m - 1, m - 3)]:
+            placed = [fibs[b] - fibs[a]]  # Y so far - F_a, shared by both caps
+            for k in range(a, b):
+                placed += [y + fibs[k] for y in placed]
+            for sign, cap in ((1, fibs[hi] - fibs[a]), (-1, fibs[lo] - fibs[a])):
+                starts += [(a - 1, (y, cap)) for y in placed]
+                tags += [(m, name, sign)] * len(placed)
+    out = {m: dict.fromkeys(("total", *_TOPS, "w"), 0) for m in range(m_lo, m_hi + 1)}
+    for (m, name, sign), count in zip(tags, pair_completions(fibs, starts)):
+        out[m][name] += sign * count
     return out
 
 
@@ -90,17 +94,13 @@ class CaseBreakdown:
         return self.case1 + self.case2 + self.case3 + self.case4 + self.case5
 
 
-def case_breakdown(m: int) -> CaseBreakdown:
-    """Split the window's solutions by their two largest parts, and count w_m.
+def case_breakdown(m: int, c: dict[str, int]) -> CaseBreakdown:
+    """Split the window's solutions by their two largest parts, and w_m, from m's class counts c.
 
-    Raises if any solution falls outside the five cases: for m >= 7 the
-    maxima can only be F_m, F_{m-1} or F_{m-2}, so the window total must
-    equal the sum of the top-value classes, and the mixed pair {F_m, F_{m-2}}
-    cannot have equal sums.  m is capped by sweep.MAX_SWEEP_INDEX.
+    Raises if a solution falls outside the five cases: for m >= 7 the maxima can only be
+    F_m, F_{m-1} or F_{m-2}, so the window total must equal the sum of the top-value
+    classes, and the mixed pair {F_m, F_{m-2}} cannot have equal sums.
     """
-    if m < 7:
-        raise ValueError(f"the five-way case split needs m >= 7, got {m}")
-    c = _class_counts(m)
     if c["mixed"]:
         raise RuntimeError(
             f"{2 * c['mixed']} solutions with maxima (F_{m}, F_{m - 2}) "
@@ -190,7 +190,7 @@ def verify_case_range(m_lo: int, m_hi: int) -> list[CaseReport]:
         raise ValueError(f"empty range [{m_lo}, {m_hi}]")
     _refuse_past(m_hi, MAX_SWEEP_INDEX)
     v = _fib_moments(m_hi)
-    return [_case_report(case_breakdown(m), v) for m in range(m_lo, m_hi + 1)]
+    return [_case_report(case_breakdown(m, c), v) for m, c in _class_counts(m_lo, m_hi).items()]
 
 
 def verify_cases(m: int, budget: int = MAX_SWEEP_INDEX) -> CaseReport:

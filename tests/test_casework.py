@@ -22,6 +22,11 @@ from table_reference import MAX_TABLE_INDEX, fib_moment_series
 F = fib_list(40)
 
 
+def breakdown(m):
+    """case_breakdown of m on the counts of a one-m sweep."""
+    return case_breakdown(m, casework._class_counts(m, m)[m])
+
+
 def subset_buckets(top, lo, hi):
     """Reference enumeration in plain Python: sum in (lo, hi] -> max part -> count."""
     buckets = defaultdict(Counter)
@@ -58,19 +63,19 @@ def reference_breakdown(m):
 def test_w_bruteforce_matches_closed_form():
     # "swept" as in the CLI's verify-w rows: the counted side, not the formula
     for m in range(7, 17):
-        assert case_breakdown(m).w == fib_moment_series(m - 3).w(m), m
+        assert breakdown(m).w == fib_moment_series(m - 3).w(m), m
 
 
 def test_one_series_gives_every_w_up_to_its_range():
     series = fib_moment_series(17)
     for m in range(7, 21):
-        assert series.w(m) == case_breakdown(m).w, m
+        assert series.w(m) == breakdown(m).w, m
     with pytest.raises(ValueError):
         series.w(21)
 
 
 def test_case_breakdown_m7():
-    bd = case_breakdown(7)
+    bd = breakdown(7)
     assert (bd.case1, bd.case2, bd.case3, bd.case4, bd.case5) == (1, 11, 3, 4, 8)
     assert bd.total == 27
     assert bd.case_sum == bd.total
@@ -78,14 +83,14 @@ def test_case_breakdown_m7():
 
 
 def test_case_breakdown_m12():
-    bd = case_breakdown(12)
+    bd = breakdown(12)
     assert (bd.case1, bd.case2, bd.case3, bd.case4, bd.case5) == (1, 673, 632, 10, 1080)
     assert bd.total == 2396
 
 
 def test_case_breakdown_rejects_small_m():
-    with pytest.raises(ValueError):
-        case_breakdown(6)
+    with pytest.raises(ValueError, match="needs m >= 7, got 6"):
+        casework._class_counts(6, 6)
 
 
 @pytest.mark.parametrize("m", [7, 8, 12])
@@ -159,9 +164,11 @@ def test_verify_cases_reaches_past_the_table():
     assert verify_cases(MAX_SWEEP_INDEX).passed
 
 
-def test_range_is_the_single_m_call_repeated():
-    reports = verify_case_range(7, 21)
-    assert reports == [verify_cases(m) for m in range(7, 22)]
+@pytest.mark.parametrize("m_lo, m_hi", [(7, 21), (990, 1000)])
+def test_range_is_the_single_m_call_repeated(m_lo, m_hi):
+    # the starts of every m share one sweep, and their counts do not mix
+    reports = verify_case_range(m_lo, m_hi)
+    assert reports == [verify_cases(m) for m in range(m_lo, m_hi + 1)]
 
 
 def test_range_builds_one_series(monkeypatch):
@@ -184,10 +191,15 @@ def test_range_rejects_bad_bounds(m_lo, m_hi):
         verify_case_range(m_lo, m_hi)
 
 
+@pytest.fixture(scope="module")
+def counts_7_to_22():
+    return casework._class_counts(7, 22)
+
+
 @pytest.mark.parametrize("m", range(7, 23))
-def test_enumeration_matches_reference(m):
-    # the sweep against the plain-Python enumeration, field by field
-    bd = case_breakdown(m)
+def test_enumeration_matches_reference(m, counts_7_to_22):
+    # one sweep over 7..22 against the plain-Python enumeration, field by field
+    bd = case_breakdown(m, counts_7_to_22[m])
     fields = (bd.total, bd.case1, bd.case2, bd.case3, bd.case4, bd.case5, bd.w)
     assert fields == reference_breakdown(m)
 
@@ -204,8 +216,9 @@ def test_sweep_matches_the_closed_forms_far_past_the_table(m, solution):
     def w(k):
         return v(k - 3) - r(k - 3) - r(k - 5) - v(k - 5)
 
-    assert casework._class_counts(m)["mixed"] == 0
-    bd = case_breakdown(m)
+    counts = casework._class_counts(m, m)[m]
+    assert counts["mixed"] == 0
+    bd = case_breakdown(m, counts)
     assert bd.total == v(m) - v(m - 1)
     assert bd.case1 == 1
     assert bd.case2 == v(m - 2) - 1
@@ -220,52 +233,44 @@ def test_sweep_matches_the_closed_forms_far_past_the_table(m, solution):
 def test_case_breakdown_is_refused_past_the_sweep_cap():
     start = time.perf_counter()
     with pytest.raises(BudgetError, match=f"F_{sweep.MAX_SWEEP_INDEX + 1}"):
-        case_breakdown(sweep.MAX_SWEEP_INDEX + 1)
+        casework._class_counts(sweep.MAX_SWEEP_INDEX + 1, sweep.MAX_SWEEP_INDEX + 1)
     assert time.perf_counter() - start < 1.0
 
 
-def _patched_class_counts(monkeypatch, change):
-    original = casework._class_counts
-
-    def patched(m):
-        counts = original(m)
-        change(counts)
-        return counts
-
-    monkeypatch.setattr(casework, "_class_counts", patched)
-
-
-def test_case_breakdown_sweeps_once(monkeypatch):
-    calls = []
-    original = casework.pair_completions
+def test_case_range_sweeps_once(monkeypatch):
+    # one sweep from the top of the range, and one case_breakdown per m
+    calls, broken_down = [], []
+    original, split = casework.pair_completions, casework.case_breakdown
 
     def counted(fibs, starts):
         calls.append(max(k for k, _ in starts))
         return original(fibs, starts)
 
+    def recorded(m, counts):
+        broken_down.append(m)
+        return split(m, counts)
+
     monkeypatch.setattr(casework, "pair_completions", counted)
-    case_breakdown(9)
-    assert calls == [9]
+    monkeypatch.setattr(casework, "case_breakdown", recorded)
+    verify_case_range(7, 40)
+    assert calls == [40]
+    assert broken_down == list(range(7, 41))
 
 
-def test_stray_max_part_is_rejected(monkeypatch):
+def test_stray_max_part_is_rejected():
     # a window total above its top-value classes: a solution with a max part below F_{m-2}
-    def add_stray(counts):
-        counts["total"] += 1
-
-    _patched_class_counts(monkeypatch, add_stray)
+    counts = casework._class_counts(9, 9)[9]
+    counts["total"] += 1
     with pytest.raises(RuntimeError, match="outside the five cases"):
-        case_breakdown(9)
+        case_breakdown(9, counts)
 
 
-def test_mixed_top_pair_is_rejected(monkeypatch):
-    def overlap(counts):
-        counts["mixed"] += 1
-        counts["total"] += 2  # both orders, so the classes still sum to the total
-
-    _patched_class_counts(monkeypatch, overlap)
+def test_mixed_top_pair_is_rejected():
+    counts = casework._class_counts(9, 9)[9]
+    counts["mixed"] += 1
+    counts["total"] += 2  # both orders, so the classes still sum to the total
     with pytest.raises(RuntimeError, match="outside the five cases"):
-        case_breakdown(9)
+        case_breakdown(9, counts)
 
 
 def test_verify_cases_peak_memory(peak_bytes):

@@ -81,7 +81,7 @@ def test_failed_check_prints_its_rows_and_exits_nonzero(monkeypatch, capsys, tmp
 
 
 def test_internal_error_is_reported_and_the_run_goes_on(monkeypatch, capsys, tmp_path):
-    def broken(m):
+    def broken(m, counts):
         raise RuntimeError(f"stray solution at m={m}")
 
     monkeypatch.setattr(casework, "case_breakdown", broken)

@@ -26,8 +26,9 @@ the NULs deleted.  Cells it cannot decide take the exact route _fixed12: x not
 finite or <= 0, e outside [-4, 11] or misjudged by log10, m = 10^12 from a
 carry, x * 10^(11-e) within 1e-3 of a half-integer, or, for e < 0, m ending
 in 0 with x * 10^(11-e) within 1e-3 of m.  Every CSV command prints from
-moment_rows, so it holds one int32 R table plus one chunk; moments.moment_table
-and partitions.r_table are the whole-array API and the tests' reference.
+r_rows, table directly and the others through moment_rows, which adds A and V,
+so each holds one int32 R table plus one chunk; moments.moment_table and
+partitions.r_table are the whole-array API and the tests' reference.
 """
 
 from dataclasses import dataclass
@@ -190,19 +191,32 @@ def write_csv(out: TextIO, header: str, chunks) -> None:
         out.write(np.stack(np.broadcast_arrays(*quads)).T.tobytes().translate(None, b"\0").decode())
 
 
-def moment_rows(h_max: int):
-    """Chunks [n, R(n), A(n), V(n)] of CSV_CHUNK_ROWS int64 rows for 0 <= n <= h_max.
+def r_rows(h_max: int):
+    """Chunks [n, R(n)] of CSV_CHUNK_ROWS int64 rows for 0 <= n <= h_max.
 
     The int32 R table is built at the call, so a refused size raises before any
-    output.  A and V carry across chunks, exact as V(H) < 2^63 below the cap."""
+    output; each chunk is widened to int64 as it is handed out."""
     r = _r_array(h_max, np.int32)
 
-    def chunks(a=0, v=0):
+    def chunks():
         for lo in range(0, h_max + 1, CSV_CHUNK_ROWS):
             r_part = r[lo : lo + CSV_CHUNK_ROWS].astype(np.int64)
+            yield [np.arange(lo, lo + len(r_part)), r_part]
+
+    return chunks()
+
+
+def moment_rows(h_max: int):
+    """The chunks of r_rows with A(n) and V(n) appended: [n, R(n), A(n), V(n)].
+
+    A and V carry across chunks, exact as V(H) < 2^63 below the cap."""
+    rows = r_rows(h_max)  # builds R here, so a refused size still raises at the call
+
+    def chunks(a=0, v=0):
+        for n, r_part in rows:
             a_part, v_part = np.cumsum(r_part) + a, np.cumsum(r_part * r_part) + v
             a, v = a_part[-1], v_part[-1]
-            yield [np.arange(lo, lo + len(r_part)), r_part, a_part, v_part]
+            yield [n, r_part, a_part, v_part]
 
     return chunks()
 

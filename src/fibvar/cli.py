@@ -126,8 +126,7 @@ def _cmd_zeckendorf(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    rows = ([n, r] for n, r, _, _ in analysis.moment_rows(args.h_max))  # R is built here
-    analysis.write_csv(sys.stdout, "n,R", rows)
+    analysis.write_csv(sys.stdout, "n,R", analysis.r_rows(args.h_max))
     return EXIT_OK
 
 

@@ -28,7 +28,7 @@ from .sweep import fib_pair_counts, pair_completions, sweep_fibs
 class MomentTable:
     """Prefix sums a[n] = A(n), v[n] = V(n) for 0 <= n <= h_max.
 
-    a and v are the two column views of one (h_max+1)x2 int64 buffer, so a
+    a and v are the two C-contiguous rows of one 2x(h_max+1) int64 buffer, so a
     caller that keeps one of them keeps both.
     """
 
@@ -43,13 +43,15 @@ class MomentTable:
 
 
 def moment_table(h_max: int) -> MomentTable:
-    """Build A and V over [0, h_max], 16 bytes per entry: R fills column 0 of a
-    two-column table, R^2 column 1, and one cumsum down both leaves V beside A."""
-    av = np.empty((_table_entries(h_max), 2), dtype=np.int64)
-    _fill_r(av[:, 0])
-    np.multiply(av[:, 0], av[:, 0], out=av[:, 1])
-    np.cumsum(av, axis=0, out=av)
-    return MomentTable(h_max=h_max, a=av[:, 0], v=av[:, 1])
+    """Build A and V over [0, h_max], 16 bytes per entry: R fills row a of a
+    two-row table and R^2 row v, then one cumsum along each row turns them
+    into A and V, every pass at a unit stride."""
+    a, v = np.empty((2, _table_entries(h_max)), dtype=np.int64)
+    _fill_r(a)
+    np.multiply(a, a, out=v)
+    np.cumsum(a, out=a)
+    np.cumsum(v, out=v)
+    return MomentTable(h_max=h_max, a=a, v=v)
 
 
 def v_at_fib(m: int) -> int:

@@ -20,7 +20,7 @@ _table_entries refuses any table of more than MAX_TABLE_ENTRIES entries
 before anything is allocated, and _fill_r writes every entry of any 1-D
 int32 or int64 view, so no table is zeroed first; _r_array and
 moments.moment_table share both.  r, check_sqrt_bound and every CSV command
-(through analysis.moment_rows) hold R in int32, 4 bytes per entry; the last
+(through analysis.r_rows) hold R in int32, 4 bytes per entry; the last
 two widen it to int64 one chunk at a time.  r_table (int64, 8 bytes per
 entry) and moments.moment_table (16) are the whole-array API and the tests'
 reference.

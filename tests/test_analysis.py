@@ -17,6 +17,7 @@ from fibvar.analysis import (
     _ln_fixed,
     exponent_report,
     moment_rows,
+    r_rows,
     write_csv,
     write_figure_csv,
 )
@@ -265,6 +266,9 @@ def test_moment_rows_match_the_whole_tables(h_max):
     table = moment_table(h_max)
     assert np.array_equal(n, np.arange(h_max + 1)) and np.array_equal(r, r_table(h_max).r)
     assert np.array_equal(a, table.a) and np.array_equal(v, table.v)
+    # table prints r_rows: the same chunks without A and V
+    for short, full in zip(r_rows(h_max), chunks, strict=True):
+        assert len(short) == 2 and all(np.array_equal(s, f) for s, f in zip(short, full))
 
 
 def test_moments_csv_peak_memory_is_the_int32_table(peak_bytes):

@@ -36,6 +36,13 @@ def test_moment_table_peak_memory_is_a_and_v(peak_bytes):
     assert peak_bytes(lambda: moment_table(10**6)) <= 2.05 * 8 * (10**6 + 1)
 
 
+def test_moment_table_rows_share_one_buffer():
+    # a and v are unit-stride rows of one allocation: a caller that keeps one keeps both
+    mt = moment_table(1000)
+    assert mt.a.flags.c_contiguous and mt.v.flags.c_contiguous
+    assert mt.a.base is mt.v.base
+
+
 def test_v_at_fib_builds_no_table(peak_bytes):
     # one pair sweep of a few states per Fibonacci value; the R table up to F_30 is 6.7 MB
     assert peak_bytes(lambda: v_at_fib(30)) < 2**16
@@ -45,7 +52,7 @@ def test_v_at_fib_builds_no_table(peak_bytes):
     "h", [0, 1, 2, 3, 1000, 123457, *(F[k] + d for k in (20, 25) for d in (-2, -1, 0))]
 )
 def test_moment_table_is_the_prefix_sums_of_r(h):
-    # every way the strided fill can end: inside a block, on its last entry, past it
+    # every way the fill of row a can end: inside a block, on its last entry, past it
     r = r_table(h).r
     mt = moment_table(h)
     assert np.array_equal(mt.a, np.cumsum(r)) and np.array_equal(mt.v, np.cumsum(r**2))

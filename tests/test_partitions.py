@@ -92,10 +92,10 @@ def _filled_views(n):
         buf = np.full(n, -1, dtype=dtype)
         _fill_r(buf)
         views.append(buf)
-    pair = np.full((n, 2), -1, dtype=np.int64)  # the column moments.moment_table fills
-    _fill_r(pair[:, 0])
-    assert np.all(pair[:, 1] == -1)  # the other column is not touched
-    return views + [pair[:, 0]]
+    pair = np.full((2, n), -1, dtype=np.int64)  # the rows of moments.moment_table; R fills row 0
+    _fill_r(pair[0])
+    assert np.all(pair[1] == -1)  # the other row is not touched
+    return views + [pair[0]]
 
 
 def _fill_sizes():
